@@ -1,13 +1,13 @@
-"""Engine speed: fused vectorized execution vs bit-serial reference.
+"""Engine speed: per-op packed-word execution vs bit-serial reference.
 
 The acceptance workload is a 64-row batch of 256-element integer softmax
 vectors executed end to end through the compiled plan (quantize, Barrett
 range reduction, polynomial, variable shift, segmented reduction, restoring
-division).  Both engines run the *same* lowered program over the same
-16384-word row space: ``"reference"`` interprets it as bit-serial
-compare/write sweeps on the functional CAM, ``"vectorized"`` executes the
-fused packed-word pass.  Results must be bit-identical and the vectorized
-engine must be at least 5x faster (in practice it is orders of magnitude
+division).  Both processor engines interpret the *same* lowered program
+over the same 16384-word row space on the functional CAM: ``"reference"``
+as bit-serial compare/write sweeps, ``"vectorized"`` as one packed-word
+numpy operation per AP operation.  Results must be bit-identical and the
+vectorized engine must be at least 5x faster (in practice it is far
 faster, and far more against the seed's only option, a per-vector Python
 loop).
 """

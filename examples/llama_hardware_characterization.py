@@ -6,7 +6,7 @@ normalized energy / latency / EDP against the A100 and RTX3090 baselines
 (the Figs. 6-8 quantities), plus the Fig. 1 softmax runtime share and the
 Amdahl end-to-end impact.  The deployment is then instantiated as a
 *functional* multi-AP cluster: a sample attention-score tensor is executed
-head by head on the simulated hardware (vectorized backend), verified
+on the simulated hardware (the default compiled engine), verified
 bit-identical to the software integer pipeline, and the cluster-level
 concurrency cost (latency = max over heads, energy = sum) and pipelined
 multi-batch schedule are reported.
@@ -66,7 +66,7 @@ def main() -> None:
     software = IntegerSoftmax(deployment.precision, barrett_correction=False)(scores)
     print(f"=== functional AP cluster ({deployment.num_aps} per-head APs) ===")
     print(f"executed a {scores.shape} score tensor on the cluster "
-          f"(vectorized backend, via cluster.as_backend())")
+          f"(compiled engine, via cluster.as_backend())")
     print(f"bit-identical to the software integer pipeline: "
           f"{np.array_equal(result.probabilities, software)}")
     print(f"demo pass at {demo_seq} tokens (from the SoftmaxResult): "

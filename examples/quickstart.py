@@ -54,9 +54,10 @@ def main() -> None:
     print()
 
     # A whole (batch, seq) score tensor through the unified runtime API:
-    # every probability below is produced by CAM compare/write semantics
-    # (vectorized packed-word engine), and the SoftmaxResult carries the
-    # analytical cost of the pass alongside the probabilities.
+    # every probability below is bit-identical to CAM compare/write
+    # semantics (the default compiled engine runs the lowered AP program),
+    # and the SoftmaxResult carries the analytical cost of the pass
+    # alongside the probabilities.
     batch = rng.normal(0.0, 2.0, (16, 64))
     backend = resolve_backend("ap-batch", sequence_length=64)
     start = time.perf_counter()

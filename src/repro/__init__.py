@@ -6,7 +6,7 @@ for Integer-Only Softmax on Associative Processors* (DATE 2025), including:
 * the integer-only softmax approximation (:mod:`repro.softmax`,
   :mod:`repro.quant`);
 * a functional and analytical Associative Processor simulator
-  (:mod:`repro.ap`) with two interchangeable execution backends — the
+  (:mod:`repro.ap`) with two interchangeable per-operation engines — the
   bit-serial ``"reference"`` ground truth and the bit-identical, much
   faster ``"vectorized"`` packed-word engine
   (:class:`~repro.ap.engine.BitPlaneEngine`); batched ``(batch, seq)``
@@ -16,7 +16,9 @@ for Integer-Only Softmax on Associative Processors* (DATE 2025), including:
 * the SoftmAP dataflow mapping and hardware characterization
   (:mod:`repro.mapping`), executed through compiled plans
   (:mod:`repro.mapping.plan`): the dataflow is lowered once per shape and
-  whole ``(batch, heads, seq)`` workloads run as fused wide passes;
+  whole ``(batch, heads, seq)`` workloads run as fused wide passes on the
+  default ``"compiled"`` engine (:class:`~repro.ap.compiled.CompiledEngine`),
+  bit-identical to both per-operation engines;
 * analytical GPU baselines for A100 / RTX3090 (:mod:`repro.gpu`);
 * a numpy LLM substrate used for the perplexity sensitivity study
   (:mod:`repro.nn`, :mod:`repro.llm`);

@@ -29,9 +29,13 @@ by ``AssociativeProcessor(..., backend=...)``:
   executing whole row-batches per numpy operation, bit-identical to the
   reference (the differential suite in ``tests/ap/test_engine_parity.py``
   enforces this) with exact compare/write cycle counts, at orders of
-  magnitude less wall-clock cost.  Use it for anything that runs softmax
-  vectors at realistic sizes; unsupported column layouts fall back to the
-  reference sweep automatically.
+  magnitude less wall-clock cost; unsupported column layouts fall back to
+  the reference sweep automatically.
+
+Whole lowered softmax programs run fastest on the plan-only ``"compiled"``
+engine (:class:`~repro.ap.compiled.CompiledEngine`), the default of every
+plan-executing seam (:data:`~repro.ap.engine.DEFAULT_ENGINE`); it has no
+per-operation mode, so processors accept only the two engines above.
 """
 
 from repro.ap.cam import CamArray, CamStats

@@ -1,12 +1,11 @@
 """The ``"compiled"`` engine: buffer-planned, in-place plan execution.
 
 :class:`~repro.mapping.plan.ExecutionPlan` lowers the Fig. 5 dataflow once
-per shape, but the ``"vectorized"`` executor (the plan's packed-path
-interpreter) still walks the lowered program op by op, allocating fresh
-numpy temporaries for every field of every instruction on every pass.  The
-dataflow is *fixed* per (precision, sequence, width) shape, so all of that
-can be resolved at compile time.  :class:`CompiledEngine` is that last
-lowering level:
+per shape.  The dataflow is *fixed* per (precision, sequence, width) shape,
+so everything but the score values can be resolved at compile time.
+:class:`CompiledEngine` is that last lowering level — the one fast plan
+executor and the default engine
+(:data:`~repro.ap.engine.DEFAULT_ENGINE`):
 
 * **buffer-planned scratch arena** — the plan's buffer-liveness pass
   (:func:`repro.mapping.plan.plan_buffers`) assigns every vector field a
@@ -23,23 +22,22 @@ lowering level:
   in-place arithmetic pairs collapse into one reverse-op against the baked
   constant, ``copy``'s shift+truncate is a single masked shift, and the
   barrel shifter's predicated select runs as branch-free xor-masking
-  (``t ^= cur; t &= pred_mask; cur ^= t``) instead of the interpreter's
-  ``np.where`` (which materialises a boolean row plus two temporaries per
-  stage).
+  (``t ^= cur; t &= pred_mask; cur ^= t``) instead of materialising a
+  boolean row plus two temporaries per stage.
 * **reusable arena pool** — arenas grow geometrically with the workload and
-  are checked out under a lock, so independent
-  :class:`~repro.mapping.plan.WorkloadPass` tiles can execute on worker
-  threads concurrently (each borrows its own arena) while a single-threaded
-  caller reuses one arena allocation across every pass of a sweep.
+  are checked out under a lock, so concurrent callers each borrow their
+  own arena while a single-threaded caller reuses one allocation across
+  every pass of a sweep.
 
 Bit-exactness
 -------------
-Every closure reproduces the corresponding packed-interpreter op with the
-same ``uint64`` primitives — truncating multiplies, wrapping subtracts, the
-barrel shifter's stage predicates, and restoring division's divisor-zero
-saturation — so the result is bit-identical to ``"vectorized"`` (and hence
-to the bit-serial ``"reference"`` sweep) by construction; the parity suites
-in ``tests/ap/test_compiled.py`` and ``tests/mapping/test_plan.py`` pin it.
+Every closure reproduces the corresponding AP primitive with ``uint64``
+word operations — truncating multiplies, wrapping subtracts, the barrel
+shifter's stage predicates, and restoring division's divisor-zero
+saturation — so the result is bit-identical to interpreting the program on
+the functional AP with the per-operation ``"vectorized"`` engine or the
+bit-serial ``"reference"`` sweep; the parity suites in
+``tests/ap/test_compiled.py`` and ``tests/mapping/test_plan.py`` pin it.
 Analytical cycle accounting is untouched: the plan's Table II step costs
 describe the modeled hardware, not the simulator's execution strategy.
 """
@@ -88,9 +86,8 @@ class _Arena:
 class CompiledEngine:
     """Executes one plan's buffer-planned program against a scratch arena.
 
-    Instances are built through the engine registry's plan-executor seam
-    (``ExecutionPlan.plan_executor("compiled")``) — one per plan, holding
-    the compiled closures and the arena pool.  ``run`` is thread-safe:
+    One instance per plan (``ExecutionPlan.compiled_engine``), holding the
+    compiled closures and the arena pool.  ``run`` is thread-safe:
     concurrent calls borrow distinct arenas.
     """
 
@@ -146,7 +143,7 @@ class CompiledEngine:
     def run(
         self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
     ) -> np.ndarray:
-        """Run the compiled program; mirrors ``ExecutionPlan._run_packed``."""
+        """Run the compiled program over ``batch`` segments of quantized ``z``."""
         words = int(z.size)
         arena = self._acquire(words)
         try:

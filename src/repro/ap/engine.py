@@ -7,15 +7,16 @@ model for validating the paper's semantics, but the per-bit Python loop makes
 the functional path the dominant cost of every experiment that actually runs
 softmax vectors through the AP.
 
-:class:`BitPlaneEngine` is the fast path.  It re-expresses the full AP
-instruction set — compare/write LUT sweeps, in-place add/subtract, shift-add
-multiplication, predicated barrel shifts and restoring division — as whole
-row-batch numpy operations on *packed words*: each field's bit columns are
-gathered once into one ``uint64`` per row, the operation is computed with a
-handful of word-level numpy expressions (or a short loop over multiplier /
-quotient bits, never over ``rows``), and the result is scattered back into
-the CAM's bit matrix.  The CAM cell matrix therefore remains the single
-source of truth, so fields that alias each other through
+:class:`BitPlaneEngine` is the fast per-operation path.  It re-expresses the
+full AP instruction set — compare/write LUT sweeps, in-place add/subtract,
+shift-add multiplication, predicated barrel shifts and restoring division —
+as whole row-batch numpy operations on *packed words*: each field's bit
+columns are gathered once into one ``uint64`` per row, the operation is
+computed with a handful of word-level numpy expressions (or a short loop
+over multiplier bits, never over ``rows``; division uses the closed form of
+the restoring recurrence), and the result is
+scattered back into the CAM's bit matrix.  The CAM cell matrix therefore
+remains the single source of truth, so fields that alias each other through
 :meth:`~repro.ap.processor.AssociativeProcessor.shifted_view` /
 :meth:`~repro.ap.fields.Field.slice` keep working unchanged.
 
@@ -57,16 +58,26 @@ two counters instead of replaying every pass (the reference backend remains
 the ground truth for exact data-dependent write activity).  Latch writes
 whose tag popcount is already known (division flag/quotient writes, operand
 loads, field clears) are charged exactly.
+
+Engine registry
+---------------
+The module also owns the functional-engine names every seam validates
+against: ``"reference"`` (the bit-serial ground truth), ``"vectorized"``
+(this per-operation engine) and the plan-only ``"compiled"`` engine
+(:class:`~repro.ap.compiled.CompiledEngine`, the one fast plan executor).
+:data:`DEFAULT_ENGINE` — ``"compiled"`` — is the single owner of the
+default engine; at plan level the two processor engines interpret the
+lowered program on the functional AP, so a serving fallback chain reads
+fast path → per-op AP → bit-serial ground truth.
 """
 
 from __future__ import annotations
 
 import difflib
-import importlib
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,16 +86,15 @@ from repro.ap.lut import Lut
 
 __all__ = [
     "BitPlaneEngine",
+    "DEFAULT_ENGINE",
     "ENGINE_NAMES",
     "EngineInfo",
     "UnknownEngineError",
     "canonical_engine_name",
     "engine_info",
     "engine_names",
-    "is_plan_engine",
     "processor_engine_names",
     "register_engine",
-    "resolve_plan_executor",
 ]
 
 
@@ -97,33 +107,27 @@ class EngineInfo:
 
     ``supports_processor`` marks engines that can back per-operation
     :class:`~repro.ap.processor.AssociativeProcessor` sweeps (the bit-serial
-    reference and the packed-word :class:`BitPlaneEngine`); plan-only
-    engines (e.g. ``"compiled"``) execute whole lowered
-    :class:`~repro.mapping.plan.ExecutionPlan` programs but cannot serve
-    individual CAM instructions.
-
-    ``plan_executor`` is a lazy ``"module:attribute"`` reference to the
-    engine's plan-executor factory — a callable taking an
-    :class:`~repro.mapping.plan.ExecutionPlan` and returning an object with
-    ``run(z, pad_mask, batch) -> probabilities``.  ``None`` means the plan
-    layer interprets the lowered program on the functional AP instead
-    (:meth:`~repro.mapping.plan.ExecutionPlan._run_ap`).  The reference is
-    resolved on first use so registration stays import-cycle-free (the plan
-    module imports this one).
+    reference and the packed-word :class:`BitPlaneEngine`).  The plan-only
+    ``"compiled"`` engine executes whole lowered
+    :class:`~repro.mapping.plan.ExecutionPlan` programs through
+    :class:`~repro.ap.compiled.CompiledEngine` but cannot serve individual
+    CAM instructions; every processor engine runs a plan by interpreting
+    it on the functional AP.
     """
 
     name: str
     description: str
     supports_processor: bool = True
-    plan_executor: Optional[str] = None
 
 
 #: Name -> EngineInfo, in registration order (the order error messages and
 #: ``ENGINE_NAMES`` present them in).
 _ENGINES: "OrderedDict[str, EngineInfo]" = OrderedDict()
 
-#: Resolved plan-executor factories, keyed by engine name.
-_PLAN_EXECUTOR_FACTORIES: Dict[str, Callable] = {}
+#: The engine every plan-executing seam (plans, clusters, the ``ap`` /
+#: ``ap-batch`` / ``ap-cluster`` backends, ``forward_on_ap``, deployments)
+#: defaults to: the compiled fast path.
+DEFAULT_ENGINE = "compiled"
 
 
 def register_engine(
@@ -131,30 +135,23 @@ def register_engine(
     description: str = "",
     *,
     supports_processor: bool = True,
-    plan_executor: Optional[str] = None,
 ) -> EngineInfo:
     """Register a functional-engine name with every selection seam at once.
 
     Registration is the *only* step: mappings, clusters, plans, backend
     specs, the CLI and the LLM paths all validate through
-    :func:`canonical_engine_name` and dispatch through
-    :func:`engine_info`/:func:`resolve_plan_executor`, so a registered name
-    flows through every seam without per-call-site string lists.
+    :func:`canonical_engine_name` and dispatch through :func:`engine_info`,
+    so a registered name flows through every seam without per-call-site
+    string lists.
     """
     if not isinstance(name, str) or not name:
         raise TypeError("engine name must be a non-empty str")
     if name in _ENGINES:
         raise ValueError(f"engine {name!r} is already registered")
-    if plan_executor is not None and ":" not in plan_executor:
-        raise ValueError(
-            f"plan_executor must be a 'module:attribute' reference, "
-            f"got {plan_executor!r}"
-        )
     info = EngineInfo(
         name=name,
         description=description,
         supports_processor=supports_processor,
-        plan_executor=plan_executor,
     )
     _ENGINES[name] = info
     return info
@@ -175,32 +172,6 @@ def processor_engine_names() -> Tuple[str, ...]:
 def engine_info(name: str) -> EngineInfo:
     """The :class:`EngineInfo` registered under ``name`` (validated)."""
     return _ENGINES[canonical_engine_name(name)]
-
-
-def is_plan_engine(name: str) -> bool:
-    """Whether ``name`` executes lowered plans natively (the fused path)."""
-    return engine_info(name).plan_executor is not None
-
-
-def resolve_plan_executor(name: str) -> Callable:
-    """The plan-executor factory of engine ``name`` (lazily imported).
-
-    Raises :class:`ValueError` for engines without a plan executor — the
-    plan layer checks :func:`is_plan_engine` first and interprets on the
-    functional AP for those.
-    """
-    factory = _PLAN_EXECUTOR_FACTORIES.get(name)
-    if factory is None:
-        info = engine_info(name)
-        if info.plan_executor is None:
-            raise ValueError(
-                f"engine {name!r} has no plan executor; it interprets "
-                f"lowered programs on the functional AP"
-            )
-        module_name, _, attribute = info.plan_executor.partition(":")
-        factory = getattr(importlib.import_module(module_name), attribute)
-        _PLAN_EXECUTOR_FACTORIES[name] = factory
-    return factory
 
 
 class UnknownEngineError(ValueError):
@@ -685,53 +656,49 @@ class BitPlaneEngine:
     ) -> None:
         """Restoring division, word-parallel over rows.
 
-        The quotient/remainder recurrence is replayed per output bit (a few
-        dozen iterations of numpy expressions), which reproduces the
-        reference exactly — including the remainder register wrapping at its
-        own width when the divisor is zero, in which case the quotient
-        saturates to all ones.
+        The reference replays the quotient/remainder recurrence per output
+        bit; its outcome has a closed form, computed here in one pass.  The
+        processor guarantees ``remainder.bits > divisor.bits``, so for a
+        non-zero divisor the partial remainder never wraps and the
+        recurrence is exact long division: ``quotient = N // d`` and
+        ``remainder = N % d`` with ``N = dividend << fraction_bits``.  A
+        zero divisor never borrows: every quotient bit is set and the
+        remainder register wraps at its own width, keeping the low bits of
+        ``N``.  The final borrow (the division flag) is the complement of
+        quotient bit 0.  Every step charges the same cycles, so the
+        accounting is the per-step charge times the number of steps, plus
+        the exact popcount of the quotient-bit writes.
         """
         self.ap.clear_field(quotient)
         self.ap.clear_field(remainder)
         n = self._rows
         rem_bits = remainder.bits
-        rem_mask = _mask(rem_bits)
-        total_bits = dividend.bits + fraction_bits
-        dividend_val = self.pack(dividend)
-        divisor_low = self.pack(divisor) & rem_mask
-        rem = np.zeros(n, dtype=np.uint64)
-        q_val = np.zeros(n, dtype=np.uint64)
-        borrow = np.zeros(n, dtype=bool)
-        for j in reversed(range(total_bits)):
-            if j >= fraction_bits:
-                bit = (dividend_val >> np.uint64(j - fraction_bits)) & _ONE
-            else:
-                bit = _ZERO
-            rem = ((rem << _ONE) | bit) & rem_mask
-            borrow = rem < divisor_low
-            diff = (rem - divisor_low) & rem_mask
-            rem = np.where(borrow, rem, diff)
-            q_val |= np.where(borrow, _ZERO, _ONE) << np.uint64(j)
+        steps = dividend.bits + fraction_bits
+        numerator = self.pack(dividend) << np.uint64(fraction_bits)
+        divisor_val = self.pack(divisor)
+        zero = divisor_val == 0
+        safe = np.where(zero, _ONE, divisor_val)
+        q_val = np.where(zero, _mask(steps), numerator // safe)
+        rem = np.where(zero, numerator & _mask(rem_bits), numerator % safe)
+        borrow = (q_val & _ONE) == 0
 
-            # Accounting per output bit, mirroring the reference sequence:
-            # remainder shift + bring-down (single-column full copies) ...
-            self._charge_passes(rem_bits - 1, [1, 1], [1, 1])
-            self._charge_passes(1, [1, 1], [1, 1])
-            # ... subtract, flag latch, conditional restore add ...
-            self._charge_state_clear()
-            self._charge_passes(rem_bits, [3] * 4, [2, 1, 2, 1])
-            self._stats.write_cycles += 2  # flag latch: borrow + ~borrow
-            self._stats.written_bits += n
-            self._stats.row_writes += n
-            self._charge_state_clear()
-            self._charge_passes(rem_bits, [4] * 4, [2, 1, 2, 2])
-            # ... quotient-bit compare/write (exact popcount known).
-            ones = int(np.count_nonzero(~borrow))
-            self._stats.compare_cycles += 1
-            self._stats.compared_bits += n
-            self._stats.write_cycles += 1
-            self._stats.written_bits += ones
-            self._stats.row_writes += ones
+        # Accounting per step, mirroring the reference sequence: remainder
+        # shift + bring-down (single-column full copies), subtract, flag
+        # latch (borrow + ~borrow), conditional restore add, each of the
+        # two arithmetic sweeps preceded by a state clear, and the
+        # quotient-bit compare/write.
+        self._charge_passes(steps * rem_bits, [1, 1], [1, 1])
+        self._charge_passes(steps * rem_bits, [3] * 4, [2, 1, 2, 1])
+        self._charge_passes(steps * rem_bits, [4] * 4, [2, 1, 2, 2])
+        ones = sum(
+            int(np.count_nonzero(q_val & (_ONE << np.uint64(j))))
+            for j in range(steps)
+        )
+        self._stats.compare_cycles += steps
+        self._stats.compared_bits += steps * n
+        self._stats.write_cycles += steps * 5
+        self._stats.written_bits += steps * 3 * n + ones
+        self._stats.row_writes += steps * 3 * n + ones
 
         self.store(quotient, q_val)
         self.store(remainder, rem)
@@ -803,13 +770,11 @@ register_engine(
     "packed-word BitPlaneEngine: whole row-batches per numpy operation, "
     "bit-identical to the reference",
     supports_processor=True,
-    plan_executor="repro.mapping.plan:PackedExecutor",
 )
 register_engine(
     "compiled",
     "buffer-planned scratch-arena executor: the lowered program runs "
     "in-place against preallocated uint64 slots, bit-identical to both "
-    "other engines (plan-only)",
+    "other engines (plan-only; the default)",
     supports_processor=False,
-    plan_executor="repro.ap.compiled:CompiledEngine",
 )

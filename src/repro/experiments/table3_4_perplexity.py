@@ -414,20 +414,14 @@ def run_perplexity_sweep(
 class ClusterEquivalenceReport:
     """Bit-exactness and speed of the fused AP cluster path.
 
-    ``bit_identical`` holds only if the fused cluster probabilities equal
-    the pure-software integer pipeline (raw Barrett quotient, i.e.
-    ``barrett_correction=False``), the PR 2 per-head loop (one
-    per-operation AP-engine execution per head) *and* the pre-cluster
-    row-by-row replacement path (one per-vector AP execution).
-    ``fused_speedup`` is per-head-loop seconds over fused seconds — the
-    pinned win of the compiled-plan layer; ``speedup`` is row-by-row
-    seconds over fused seconds (the historical pin).
-
-    The compiled-engine leg re-runs the same fused workload on the
-    scratch-arena ``"compiled"`` engine: ``compiled_identical`` pins its
-    probabilities bit-identical to the fused (vectorized) pass, and
-    ``compiled_speedup`` is vectorized seconds over compiled seconds — the
-    pinned win of the buffer-planned executor over the packed interpreter.
+    ``bit_identical`` holds only if the fused cluster probabilities (the
+    default ``"compiled"`` engine) equal the pure-software integer pipeline
+    (raw Barrett quotient, i.e. ``barrett_correction=False``), the
+    per-head loop (one per-operation AP-engine execution per head) *and*
+    the pre-cluster row-by-row replacement path (one per-vector AP
+    execution).  ``fused_speedup`` is per-head-loop seconds over fused
+    seconds — the pinned win of the compiled-plan layer; ``speedup`` is
+    row-by-row seconds over fused seconds (the historical pin).
     """
 
     batch: int
@@ -437,8 +431,6 @@ class ClusterEquivalenceReport:
     cluster_seconds: float
     per_head_loop_seconds: float
     row_by_row_seconds: float
-    compiled_seconds: float = 0.0
-    compiled_identical: bool = True
 
     @property
     def speedup(self) -> float:
@@ -447,12 +439,6 @@ class ClusterEquivalenceReport:
     @property
     def fused_speedup(self) -> float:
         return self.per_head_loop_seconds / self.cluster_seconds
-
-    @property
-    def compiled_speedup(self) -> float:
-        if self.compiled_seconds <= 0.0:
-            return float("inf")
-        return self.cluster_seconds / self.compiled_seconds
 
 
 def run_ap_cluster_equivalence(
@@ -463,23 +449,22 @@ def run_ap_cluster_equivalence(
     seed: int = 0,
     fast_iterations: int = 3,
 ) -> ClusterEquivalenceReport:
-    """Compare the fused cluster path against its ancestors and successor.
+    """Compare the fused cluster path against its ancestors.
 
-    A ``(batch, heads, seq)`` attention-score tensor is evaluated five
+    A ``(batch, heads, seq)`` attention-score tensor is evaluated four
     ways: on the :class:`~repro.mapping.cluster.ApCluster` (one fused
-    compiled-plan pass over the head-major row space), on the same cluster
-    with the scratch-arena ``"compiled"`` engine, by the PR 2 per-head
-    loop (one per-operation AP-engine execution per head —
-    :meth:`~repro.mapping.plan.ExecutionPlan.execute_on_ap`, how the
-    cluster executed before the plan layer), by the pre-cluster row-by-row
-    replacement path (one per-vector AP execution per ``(batch, head)``
-    pair), and by the pure-software integer pipeline.  All five must be
-    bit-identical; the timings pin the fused path's speedups.
+    compiled-plan pass over the head-major row space on the default
+    ``"compiled"`` engine), by the per-head loop (one per-operation
+    AP-engine execution per head — the plan interpreted on the functional
+    AP with ``engine="vectorized"``, how the cluster executed before the
+    plan layer), by the pre-cluster row-by-row replacement path (one
+    per-vector AP execution per ``(batch, head)`` pair), and by the
+    pure-software integer pipeline.  All four must be bit-identical; the
+    timings pin the fused path's speedups.
 
-    The two fast legs (vectorized and compiled) finish in microseconds at
-    the default shape, so each is warmed once and timed over
-    ``fast_iterations`` repeats (average reported) — the slow loop legs
-    stay single-shot.
+    The fused leg finishes in microseconds at the default shape, so it is
+    warmed once and timed over ``fast_iterations`` repeats (average
+    reported) — the slow loop legs stay single-shot.
     """
     check_positive_int(fast_iterations, "fast_iterations")
     rng = np.random.default_rng(seed)
@@ -488,17 +473,11 @@ def run_ap_cluster_equivalence(
     cluster = ApCluster(
         num_heads=heads, precision=precision, sequence_length=sequence_length
     )
-    cluster.execute(scores)  # warm-up: plan + executor state
+    cluster.execute(scores)  # warm-up: plan + arena pool
     start = time.perf_counter()
     for _ in range(fast_iterations):
         cluster_probabilities = cluster.execute(scores)
     cluster_seconds = (time.perf_counter() - start) / fast_iterations
-
-    cluster.execute(scores, backend="compiled")  # warm-up: arena pool
-    start = time.perf_counter()
-    for _ in range(fast_iterations):
-        compiled_probabilities = cluster.execute(scores, backend="compiled")
-    compiled_seconds = (time.perf_counter() - start) / fast_iterations
 
     # PR 2 baseline: the per-head Python loop, each head's (batch, seq)
     # block issued as per-operation engine sweeps over its own CAM.
@@ -506,7 +485,7 @@ def run_ap_cluster_equivalence(
     loop_probabilities = np.empty_like(scores)
     start = time.perf_counter()
     for h in range(heads):
-        loop_probabilities[:, h, :] = plan.execute_on_ap(
+        loop_probabilities[:, h, :] = plan.execute(
             scores[:, h, :], engine="vectorized"
         )
     loop_seconds = time.perf_counter() - start
@@ -516,7 +495,7 @@ def run_ap_cluster_equivalence(
     start = time.perf_counter()
     for b in range(batch):
         for h in range(heads):
-            row_probabilities[b, h] = plan.execute_on_ap(
+            row_probabilities[b, h] = plan.execute(
                 scores[b, h][None, :], engine="vectorized"
             )[0]
     row_seconds = time.perf_counter() - start
@@ -535,10 +514,6 @@ def run_ap_cluster_equivalence(
         cluster_seconds=cluster_seconds,
         per_head_loop_seconds=loop_seconds,
         row_by_row_seconds=row_seconds,
-        compiled_seconds=compiled_seconds,
-        compiled_identical=bool(
-            np.array_equal(cluster_probabilities, compiled_probabilities)
-        ),
     )
 
 
@@ -776,18 +751,13 @@ def render_fidelity_table(points: List[FidelityPoint]) -> str:
 def render_cluster_equivalence(report: ClusterEquivalenceReport) -> str:
     """Render the AP-cluster parity report."""
     verdict = "bit-identical" if report.bit_identical else "DIVERGED"
-    compiled_verdict = (
-        "bit-identical" if report.compiled_identical else "DIVERGED"
-    )
     return (
         f"AP cluster parity ({report.batch} batch x {report.heads} heads "
         f"x {report.sequence_length} seq): {verdict} to the software "
         f"pipeline; fused {report.cluster_seconds:.3f}s vs per-head loop "
         f"{report.per_head_loop_seconds:.3f}s -> {report.fused_speedup:.1f}x "
         f"(row-by-row {report.row_by_row_seconds:.3f}s -> "
-        f"{report.speedup:.1f}x); compiled engine {compiled_verdict}, "
-        f"{report.compiled_seconds:.4f}s -> {report.compiled_speedup:.1f}x "
-        f"over vectorized"
+        f"{report.speedup:.1f}x)"
     )
 
 

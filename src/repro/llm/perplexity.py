@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name
+from repro.ap.engine import DEFAULT_ENGINE, canonical_engine_name
 from repro.llm.model import SoftmaxFn, TinyLlamaModel
 from repro.nn.autograd import no_grad
 from repro.nn.functional import log_softmax_forward
@@ -100,7 +100,7 @@ def ap_cluster_softmax_fn(
     num_heads: int,
     precision: PrecisionConfig,
     sequence_length: int,
-    backend: str = "vectorized",
+    backend: str = DEFAULT_ENGINE,
     **kwargs,
 ) -> SoftmaxFn:
     """Deprecated shim: an attention softmax on the functional AP cluster.

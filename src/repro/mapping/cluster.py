@@ -47,13 +47,12 @@ and the makespan of ``n`` batches is
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name, is_plan_engine
+from repro.ap.engine import DEFAULT_ENGINE, canonical_engine_name
 from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.mapping.dataflow import StepKind
 from repro.mapping.plan import PlanTelemetry, WorkloadPass, plan_passes
@@ -192,9 +191,10 @@ class ApCluster:
         per runtime length and the cost view accepts a runtime length)
         unless an explicit ``pass_row_budget`` re-provisions capacity.
     backend:
-        Default functional engine; ``"vectorized"`` because the cluster is
-        the model-scale fast path (``"reference"`` validates bit-exactness).
-        Validated eagerly with a "did you mean" suggestion.
+        Default functional engine; :data:`~repro.ap.engine.DEFAULT_ENGINE`
+        (``"compiled"``) because the cluster is the model-scale fast path
+        (``"reference"`` validates bit-exactness).  Validated eagerly with
+        a "did you mean" suggestion.
     pass_row_budget:
         Optional maximum number of AP words one fused pass may occupy.
         ``None`` (default) executes any workload as a single fused pass
@@ -203,13 +203,6 @@ class ApCluster:
         two-stage :meth:`schedule` pipeline, and sequences up to the budget
         are accepted even beyond the per-head provisioned length — the
         fused row space spans the whole cluster, not one head's AP.
-    pass_workers:
-        Optional worker-thread count for executing independent planner
-        passes concurrently (each pass owns a disjoint slice of the output,
-        so results stay bit-identical).  ``None``/``1`` keeps the serial
-        loop.  Only engines with a thread-safe plan executor benefit — the
-        compiled engine's arena pool hands each worker its own scratch.
-        Simulator wall-clock only; the analytical cost model is unchanged.
     """
 
     def __init__(
@@ -222,9 +215,8 @@ class ApCluster:
         tech: TechnologyParameters = TECH_16NM,
         division: str = "restoring",
         clip_threshold: Optional[float] = None,
-        backend: str = "vectorized",
+        backend: str = DEFAULT_ENGINE,
         pass_row_budget: Optional[int] = None,
-        pass_workers: Optional[int] = None,
     ) -> None:
         self.num_heads = check_positive_int(num_heads, "num_heads")
         self.sequence_length = check_positive_int(sequence_length, "sequence_length")
@@ -232,12 +224,6 @@ class ApCluster:
         if pass_row_budget is not None:
             check_positive_int(pass_row_budget, "pass_row_budget")
         self.pass_row_budget = pass_row_budget
-        if pass_workers is not None:
-            check_positive_int(pass_workers, "pass_workers")
-        self.pass_workers = pass_workers
-        #: Passes executed on worker threads by the most recent
-        #: :meth:`execute` call (0 when the serial loop ran).
-        self.last_threaded_passes = 0
         # plan_passes output per (vectors, sequence_length): the tiling is
         # pure in its inputs, and the single-pass fast path dominates the
         # decode loop (one lookup per token instead of re-planning).
@@ -300,21 +286,20 @@ class ApCluster:
         sequence_length: int,
         engine: Optional[str] = None,
         wall_seconds: float = 0.0,
-        threaded_passes: int = 0,
     ) -> PlanTelemetry:
         """Plan-level telemetry describing one execution.
 
-        ``fused`` reports whether a registered plan executor actually runs
-        for this shape/engine combination — ``False`` when the reference
-        engine interprets the program on the AP or the layout is not
-        packable.  ``wall_seconds``/``threaded_passes`` let the caller
-        attach the measured execution they describe; the arena stats come
-        from the plan's buffer-liveness pass and the engine's executor.
+        ``fused`` reports whether the compiled fast path actually runs for
+        this shape/engine combination — ``False`` when a processor engine
+        interprets the program on the AP or the layout is not packable.
+        ``wall_seconds`` lets the caller attach the measured execution it
+        describes; the arena stats come from the plan's buffer-liveness
+        pass and its compiled engine.
         """
         engine = canonical_engine_name(engine) if engine else self.backend
         passes = self.workload_passes(vectors, sequence_length)
         plan = self.mapping.plan(sequence_length=sequence_length)
-        fused = is_plan_engine(engine) and plan.packable
+        fused = plan.fused(engine)
         return PlanTelemetry(
             fused=fused,
             engine=engine,
@@ -324,7 +309,6 @@ class ApCluster:
             words_per_pass=tuple(p.words for p in passes),
             arena_slots=plan.buffers.num_slots if fused else 0,
             arena_bytes=plan.arena_bytes(engine),
-            threaded_passes=threaded_passes,
             wall_seconds=wall_seconds,
             row_budget=self.pass_row_budget or 0,
         )
@@ -414,21 +398,14 @@ class ApCluster:
         valid_lengths: Optional[np.ndarray],
         backend: Optional[str] = None,
     ) -> np.ndarray:
-        """Run a head-major ``(vectors, seq)`` row space pass by pass.
-
-        Planner passes own disjoint row ranges of the output, so with
-        ``pass_workers`` set they execute on a thread pool — bit-identical
-        to the serial loop by construction.
-        """
+        """Run a head-major ``(vectors, seq)`` row space pass by pass."""
         passes = self.workload_passes(rows.shape[0], rows.shape[1])
-        self.last_threaded_passes = 0
         if len(passes) == 1:
             return self.mapping.execute_functional_batch(
                 rows, backend=backend, valid_lengths=valid_lengths
             )
         probabilities = np.empty_like(rows)
-
-        def run_tile(tile: WorkloadPass) -> None:
+        for tile in passes:
             chunk = slice(tile.start, tile.start + tile.vectors)
             probabilities[chunk] = self.mapping.execute_functional_batch(
                 rows[chunk],
@@ -437,16 +414,6 @@ class ApCluster:
                     None if valid_lengths is None else valid_lengths[chunk]
                 ),
             )
-
-        workers = min(self.pass_workers or 1, len(passes))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # list() propagates the first worker exception, if any.
-                list(pool.map(run_tile, passes))
-            self.last_threaded_passes = len(passes)
-        else:
-            for tile in passes:
-                run_tile(tile)
         return probabilities
 
     def _check_capacity(self, sequence_length: int) -> None:
@@ -473,8 +440,8 @@ class ApCluster:
         *this* cluster (no mappings are rebuilt) and exposes the uniform
         ``run(scores) -> SoftmaxResult`` contract — probabilities plus the
         concurrency-aware cost and plan telemetry of every pass.  ``engine``
-        optionally overrides the functional engine per backend
-        (``"reference"``/``"vectorized"``).
+        optionally overrides the functional engine per backend (any
+        engine-registry name).
         """
         # Imported lazily: repro.runtime.backend imports this module.
         from repro.runtime.backend import ApClusterBackend

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.ap.engine import DEFAULT_ENGINE
 from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.llm.config import LlamaConfig
 from repro.mapping.softmap import MappingCost, SoftmAPMapping
@@ -133,7 +134,7 @@ class ApDeployment:
         """Cost of one softmax pass on one per-head AP."""
         return self.mapping(sequence_length).cost()
 
-    def cluster(self, backend: str = "vectorized") -> "ApCluster":
+    def cluster(self, backend: str = DEFAULT_ENGINE) -> "ApCluster":
         """The functional multi-AP cluster realising this deployment.
 
         Returns an :class:`~repro.mapping.cluster.ApCluster` with one

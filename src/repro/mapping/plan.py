@@ -20,17 +20,17 @@ pipeline:
     the segmented reduce/broadcast keeps each vector summing only its own
     block.  Two substrates execute the same program:
 
-    * ``engine="vectorized"`` — the fused packed path: each field lives as
-      one ``uint64`` word per row (the :class:`~repro.ap.engine.BitPlaneEngine`
-      representation) for the *whole* program, so no per-step scatter/gather
-      through the CAM bit matrix remains.  Bit-identical to the AP and
-      orders of magnitude faster.
-    * ``engine="reference"`` — the program is interpreted on the bit-serial
-      functional AP, the paper-faithful ground truth.
-
-    :meth:`ExecutionPlan.execute_on_ap` additionally exposes the pre-plan
-    execution mode (per-operation engine sweeps over a real CAM) for
-    parity pins and benchmarks against the PR 2 per-head loop.
+    * ``engine="compiled"`` (:data:`~repro.ap.engine.DEFAULT_ENGINE`) — the
+      one fast path: the plan's :class:`~repro.ap.compiled.CompiledEngine`
+      runs the program as in-place closures over a pooled ``uint64``
+      scratch arena, each field one packed word per row for the *whole*
+      program, so no per-step scatter/gather through the CAM bit matrix
+      remains.  Bit-identical to the AP and orders of magnitude faster.
+    * ``engine="vectorized"`` / ``engine="reference"`` — the program is
+      interpreted on the functional AP, one CAM operation at a time, by the
+      packed-word :class:`~repro.ap.engine.BitPlaneEngine` or the
+      bit-serial sweep (the paper-faithful ground truth).  This per-op mode
+      is also the baseline of the fused-vs-per-head-loop benchmark.
 
 ``plan_passes`` (tiling)
     The planner owns workload tiling: when ``vectors × segment_length``
@@ -51,12 +51,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ap.compiled import CompiledEngine
 from repro.ap.cost import ApCostModel, OperationCost
 from repro.ap.engine import (
+    DEFAULT_ENGINE,
     MAX_FIELD_BITS,
     canonical_engine_name,
     engine_info,
-    resolve_plan_executor,
 )
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.ap.tech import TECH_16NM, TechnologyParameters
@@ -71,13 +72,12 @@ from repro.quant.quantizer import ClippedSoftmaxInputQuantizer
 from repro.reliability import faults
 from repro.softmax.polynomial import IExpPolynomial
 from repro.utils.bitwidth import bits_for_unsigned
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "BufferPlan",
     "ExecutionPlan",
     "MappingCost",
-    "PackedExecutor",
     "PlanField",
     "PlanOp",
     "PlanTelemetry",
@@ -87,15 +87,6 @@ __all__ = [
     "plan_buffers",
     "plan_passes",
 ]
-
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
-
-
-def _mask(bits: int) -> np.uint64:
-    """All-ones mask covering the low ``bits`` bits (``bits <= 63``)."""
-    return np.uint64((1 << bits) - 1)
-
 
 # --------------------------------------------------------------------------- #
 # Analytical cost records (moved here from repro.mapping.softmap: the plan
@@ -410,17 +401,16 @@ class PlanTelemetry:
     """Plan-level execution telemetry attached to a ``SoftmaxResult``.
 
     Records how the runtime actually executed a pass: whether the fused
-    plan path ran, on which engine, how the planner tiled the workload,
-    and — since the compiled engine tier — the scratch-arena footprint and
-    wall-clock of the execution.
+    compiled path ran, on which engine, how the planner tiled the
+    workload, and the scratch-arena footprint and wall-clock of the
+    execution.
 
     ``arena_slots`` is the buffer-liveness pass's peak slot count (the
-    height of the scratch arena a compiled executor allocates);
+    height of the scratch arena the compiled engine allocates);
     ``arena_bytes`` the bytes the executing engine has actually allocated
-    for arenas (0 for engines that do not use one); ``threaded_passes``
-    how many planner passes ran on a worker thread (0 for serial
-    execution); ``wall_seconds`` the measured wall-clock of the execution
-    that produced this telemetry (0.0 where the caller did not time it).
+    for arenas (0 for engines that do not use one); ``wall_seconds`` the
+    measured wall-clock of the execution that produced this telemetry (0.0
+    where the caller did not time it).
 
     Since the serving layer landed the record also describes cluster-wide
     utilization: ``row_budget`` is the ``pass_row_budget`` the planner
@@ -443,7 +433,6 @@ class PlanTelemetry:
     words_per_pass: Tuple[int, ...]
     arena_slots: int = 0
     arena_bytes: int = 0
-    threaded_passes: int = 0
     wall_seconds: float = 0.0
     row_budget: int = 0
     queue_depth: int = 0
@@ -476,10 +465,13 @@ def plan_passes(
     With no ``row_budget`` the whole workload is one fused pass.  With a
     budget, as many whole vectors as fit the budget are packed per pass
     (a vector's segmented reduction cannot straddle passes, so one segment
-    must fit: ``segment_length <= row_budget``).
+    must fit: ``segment_length <= row_budget``).  An empty workload has
+    no passes.
     """
-    check_positive_int(vectors, "vectors")
+    check_non_negative_int(vectors, "vectors")
     check_positive_int(segment_length, "segment_length")
+    if vectors == 0:
+        return []
     if row_budget is None:
         return [WorkloadPass(0, vectors, vectors * segment_length)]
     check_positive_int(row_budget, "row_budget")
@@ -522,7 +514,7 @@ class ExecutionPlan:
         tech: TechnologyParameters = TECH_16NM,
         division: str = "restoring",
         clip_threshold: Optional[float] = None,
-        engine: str = "vectorized",
+        engine: str = DEFAULT_ENGINE,
         output_fraction_bits: Optional[int] = None,
     ) -> None:
         self.precision = precision
@@ -653,16 +645,15 @@ class ExecutionPlan:
                    fraction_bits=self.output_fraction_bits, step=16),
         )
         #: Whether every field fits the packed-word representation; when it
-        #: does not (exotic custom widths), vectorized execution falls back
+        #: does not (exotic custom widths), compiled execution falls back
         #: to the per-operation engine on the functional AP.
         self.packable = all(f.bits <= MAX_FIELD_BITS for f in self.fields)
         #: Buffer-liveness result: vector fields assigned to scratch-arena
         #: slots, scalar constants folded out, dead scratch dropped.
         self.buffers: BufferPlan = plan_buffers(self.program, self.fields)
-        # Plan executors (engine name -> executor instance), built lazily on
-        # first dispatch.  Plain-dict access is safe under concurrent
-        # passes: a rare double construction just discards one instance.
-        self._executors: Dict[str, object] = {}
+        # Built on the first compiled execution.  A rare double
+        # construction under concurrent passes just discards one instance.
+        self._compiled: Optional[CompiledEngine] = None
 
     # ------------------------------------------------------------------ #
     # Analytical cost                                                      #
@@ -699,72 +690,46 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """Run the plan over a ``(vectors, segment_length)`` score tensor.
 
-        Engines with a registered plan executor (``"vectorized"``'s fused
-        packed path, ``"compiled"``'s scratch-arena executor) run the whole
-        row space in one wide invocation; ``"reference"`` interprets the
-        program on the bit-serial functional AP.  Results are bit-identical
-        across every engine and to the pre-plan per-head loop.
+        ``"compiled"`` runs the whole row space in one wide invocation of
+        the plan's :attr:`compiled_engine`; the processor engines
+        (``"vectorized"``, ``"reference"``) interpret the program on the
+        functional AP.  Results are bit-identical across every engine and
+        to the pre-plan per-head loop.
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
         faults.fire(f"engine:{engine}")
         z, pad_mask, batch = self._prepare(scores, valid_lengths)
-        info = engine_info(engine)
-        if info.plan_executor is not None and self.packable:
-            out = self.plan_executor(engine).run(z, pad_mask, batch)
+        if self.fused(engine):
+            out = self.compiled_engine.run(z, pad_mask, batch)
         else:
-            # Plan-only engines cannot serve per-operation CAM sweeps; a
+            # The plan-only engine cannot serve per-operation CAM sweeps; a
             # non-packable layout falls back to the packed-word AP engine.
-            ap_engine = engine if info.supports_processor else "vectorized"
-            out = self._run_ap(z, pad_mask, batch, ap_engine)
+            if not engine_info(engine).supports_processor:
+                engine = "vectorized"
+            out = self._run_ap(z, pad_mask, batch, engine)
         return out * (2.0 ** -self.output_fraction_bits)
 
-    def plan_executor(self, engine: Optional[str] = None):
-        """The (cached) plan-executor instance for ``engine``.
-
-        Resolved through the engine registry's lazy ``module:attribute``
-        reference; one executor is built per (plan, engine) pair and holds
-        the engine's reusable execution state (the compiled engine's
-        scratch-arena pool).
-        """
+    def fused(self, engine: Optional[str] = None) -> bool:
+        """Whether ``engine`` runs this plan on the compiled fast path."""
         engine = canonical_engine_name(engine) if engine is not None else self.engine
-        executor = self._executors.get(engine)
-        if executor is None:
-            executor = resolve_plan_executor(engine)(self)
-            self._executors.setdefault(engine, executor)
-            executor = self._executors[engine]
-        return executor
+        return not engine_info(engine).supports_processor and self.packable
+
+    @property
+    def compiled_engine(self) -> CompiledEngine:
+        """The plan's (cached) compiled executor and its scratch-arena pool."""
+        if self._compiled is None:
+            self._compiled = CompiledEngine(self)
+        return self._compiled
 
     def arena_bytes(self, engine: Optional[str] = None) -> int:
-        """Scratch-arena bytes the engine's executor has allocated so far.
+        """Scratch-arena bytes ``engine``'s execution of this plan holds.
 
-        0 for engines without a plan executor or whose executor has not
-        run yet, and for executors that do not preallocate scratch (the
-        packed path allocates per call).
+        0 for engines that interpret on the functional AP and before the
+        first compiled execution.
         """
-        engine = canonical_engine_name(engine) if engine is not None else self.engine
-        executor = self._executors.get(engine)
-        return int(getattr(executor, "arena_bytes", 0)) if executor else 0
-
-    def execute_on_ap(
-        self,
-        scores: np.ndarray,
-        valid_lengths: Optional[np.ndarray] = None,
-        engine: Optional[str] = None,
-    ) -> np.ndarray:
-        """Interpret the lowered program on the functional AP.
-
-        This is the pre-plan execution mode — every instruction issued as
-        CAM compare/write sweeps through the selected per-operation engine.
-        It is the ground-truth substrate the fused path is pinned against
-        (and the PR 2 baseline of the fused-vs-loop benchmark).  Plan-only
-        engines (``"compiled"``) have no per-operation mode and are
-        rejected with a did-you-mean suggestion.
-        """
-        engine = engine if engine is not None else self.engine
-        engine = canonical_engine_name(engine, processor=True)
-        z, pad_mask, batch = self._prepare(scores, valid_lengths)
-        out = self._run_ap(z, pad_mask, batch, engine)
-        return out * (2.0 ** -self.output_fraction_bits)
+        if self._compiled is None or not self.fused(engine):
+            return 0
+        return self._compiled.arena_bytes
 
     # ------------------------------------------------------------------ #
     # Internals                                                            #
@@ -803,76 +768,6 @@ class ExecutionPlan:
         quantized = self.quantizer.quantize(scores, stabilise=True)
         z = (-quantized.values).astype(np.int64).ravel()  # z = -vstable >= 0
         return z, pad_mask, scores.shape[0]
-
-    def _run_packed(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
-    ) -> np.ndarray:
-        """The fused wide pass: the whole program on packed uint64 words.
-
-        Field values stay in the engine's packed representation end to end;
-        each opcode reproduces the corresponding engine primitive's modulo
-        semantics exactly (truncating multiplies, wrapping subtracts, the
-        divisor-zero saturation of restoring division), so the result is
-        bit-identical to the per-operation AP execution.
-        """
-        n = self.sequence_length
-        bits = self._bits
-        state: Dict[str, np.ndarray] = {}
-        for op in self.program:
-            if op.op == "write_input":
-                state[op.dest] = z.astype(np.uint64)
-            elif op.op == "write_const":
-                state[op.dest] = np.uint64(op.value)
-            elif op.op == "multiply":
-                state[op.dest] = (state[op.a] * state[op.b]) & _mask(bits[op.dest])
-            elif op.op == "copy":
-                value = state[op.a]
-                if op.shift:
-                    value = value >> np.uint64(op.shift)
-                state[op.dest] = value & _mask(bits[op.dest])
-            elif op.op == "subtract":
-                width = bits[op.a]
-                state[op.a] = (
-                    state[op.a] - (state[op.b] & _mask(width))
-                ) & _mask(width)
-            elif op.op == "add":
-                width = bits[op.b]
-                state[op.b] = (
-                    state[op.b] + (state[op.a] & _mask(width))
-                ) & _mask(width)
-            elif op.op == "shift_right":
-                current = state[op.a] & _mask(bits[op.dest])
-                shift = state[op.b]
-                for k in range(op.stages):
-                    offset = 1 << k
-                    predicate = ((shift >> np.uint64(k)) & _ONE).astype(bool)
-                    if offset >= 64:
-                        shifted = np.zeros_like(current)
-                    else:
-                        shifted = current >> np.uint64(offset)
-                    current = np.where(predicate, shifted, current)
-                state[op.dest] = current
-            elif op.op == "mask_padding":
-                if pad_mask is not None:
-                    state[op.dest] = np.where(
-                        pad_mask.ravel(), _ZERO, state[op.dest]
-                    )
-            elif op.op == "reduce_broadcast":
-                totals = state[op.a].reshape(batch, n).sum(
-                    axis=1, dtype=np.uint64
-                ) & _mask(bits[op.dest])
-                state[op.dest] = np.repeat(totals, n)
-            elif op.op == "divide":
-                dividend = state[op.a]
-                divisor = state[op.b]
-                total_bits = bits[op.a] + op.fraction_bits
-                numerator = dividend << np.uint64(op.fraction_bits)
-                quotient = numerator // np.maximum(divisor, _ONE)
-                quotient = np.where(divisor > 0, quotient, _mask(total_bits))
-                state[op.dest] = quotient & _mask(bits[op.dest])
-            else:  # pragma: no cover - lowering and executor move together
-                raise ValueError(f"unknown plan opcode {op.op!r}")
-        return state["out"].astype(np.float64).reshape(batch, n)
 
     def _run_ap(
         self,
@@ -927,28 +822,3 @@ class ExecutionPlan:
                 raise ValueError(f"unknown plan opcode {op.op!r}")
         return ap.read_field(fields["out"]).astype(np.float64).reshape(batch, n)
 
-
-# --------------------------------------------------------------------------- #
-# Plan executors                                                               #
-# --------------------------------------------------------------------------- #
-class PackedExecutor:
-    """The ``"vectorized"`` engine's plan executor: the fused packed path.
-
-    A thin adapter satisfying the registry's plan-executor protocol
-    (``factory(plan) -> object with run(z, pad_mask, batch)``) over
-    :meth:`ExecutionPlan._run_packed` — the dict-of-arrays interpreter that
-    allocates fresh temporaries per instruction.  The ``"compiled"``
-    engine (:class:`repro.ap.compiled.CompiledEngine`) is the
-    buffer-planned, allocation-free successor.
-    """
-
-    #: Allocates per call; no preallocated scratch arena to report.
-    arena_bytes = 0
-
-    def __init__(self, plan: ExecutionPlan) -> None:
-        self._plan = plan
-
-    def run(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
-    ) -> np.ndarray:
-        return self._plan._run_packed(z, pad_mask, batch)

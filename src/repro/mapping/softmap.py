@@ -14,8 +14,9 @@ sixteen steps:
 * :meth:`SoftmAPMapping.execute_functional` /
   :meth:`SoftmAPMapping.execute_functional_batch` — the functional view:
   the compiled program runs over the whole score tensor as one fused row
-  space (``"vectorized"``) or on the bit-serial functional AP
-  (``"reference"``), bit-identical to the pure-software
+  space (``"compiled"``) or is interpreted on the functional AP one CAM
+  operation at a time (``"vectorized"``'s packed-word engine or the
+  bit-serial ``"reference"``), bit-identical to the pure-software
   :class:`~repro.softmax.integer_softmax.IntegerSoftmax` pipeline (checked
   in the integration tests).
 
@@ -76,11 +77,12 @@ class SoftmAPMapping:
         value.
     backend:
         Default execution engine of the compiled plan: ``"reference"``
-        (bit-serial LUT sweeps on the functional AP, the ground truth) or
-        ``"vectorized"`` (the fused packed-word path of
-        :class:`~repro.mapping.plan.ExecutionPlan`, bit-identical and
-        orders of magnitude faster).  Validated eagerly with a
-        "did you mean" suggestion
+        (bit-serial LUT sweeps on the functional AP, the ground truth and
+        this class's default), ``"vectorized"`` (the per-operation
+        packed-word engine on the functional AP) or ``"compiled"`` (the
+        fused fast path of :class:`~repro.mapping.plan.ExecutionPlan`,
+        bit-identical and orders of magnitude faster).  Validated eagerly
+        with a "did you mean" suggestion
         (:func:`~repro.ap.engine.canonical_engine_name`); can be overridden
         per call on :meth:`execute_functional` /
         :meth:`execute_functional_batch`.
@@ -243,8 +245,8 @@ class SoftmAPMapping:
             Fractional bits of the normalised output; defaults to the
             ``2M + 12`` result-column width.
         backend:
-            Functional AP engine (``"reference"`` / ``"vectorized"``);
-            defaults to the mapping's configured engine.
+            Functional AP engine (any engine-registry name); defaults to
+            the mapping's configured engine.
 
         Returns
         -------
@@ -274,10 +276,10 @@ class SoftmAPMapping:
         a contiguous ``seq``-row segment) and the lowered program runs
         *once*: element-wise steps are word-parallel over every row of
         every vector, and the reduction/broadcast steps are segmented so
-        each vector sums only its own block.  With the ``"vectorized"``
-        engine this is the fused packed fast path; the ``"reference"``
-        engine interprets the same program on the bit-serial AP and
-        produces bit-identical results (the per-vector programs are
+        each vector sums only its own block.  With the ``"compiled"``
+        engine this is the fused fast path; ``"vectorized"`` and
+        ``"reference"`` interpret the same program on the functional AP
+        and produce bit-identical results (the per-vector programs are
         independent).
 
         Parameters

@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ap.engine import canonical_engine_name, is_plan_engine
+from repro.ap.engine import DEFAULT_ENGINE, canonical_engine_name
 from repro.gpu.softmax_model import GpuSoftmaxModel, KernelCost
 from repro.gpu.spec import GPUS, GpuSpec
 from repro.mapping.cluster import ApCluster
@@ -223,10 +223,10 @@ class BackendSpec:
         head-major score matrices across one AP per head).
     engine:
         Functional AP engine — any name in the engine registry:
-        ``"reference"`` (bit-serial ground truth), ``"vectorized"``
-        (packed-word, bit-identical) or ``"compiled"`` (buffer-planned
-        scratch-arena executor, bit-identical); ``None`` -> the fast path
-        for cluster/batch and reference semantics elsewhere.
+        ``"compiled"`` (buffer-planned scratch-arena executor, the fast
+        path), ``"vectorized"`` (per-op packed-word AP, bit-identical) or
+        ``"reference"`` (bit-serial ground truth, bit-identical); ``None``
+        -> :data:`~repro.ap.engine.DEFAULT_ENGINE` on every AP backend.
     options:
         Extra keyword arguments forwarded to the underlying implementation
         (e.g. ``barrett_correction`` / ``sum_overflow`` for ``integer``,
@@ -456,7 +456,7 @@ class _ApBackendBase(_BackendBase):
     def __init__(self, spec: BackendSpec) -> None:
         super().__init__(spec)
         self.precision = spec.precision or BEST_PRECISION
-        self.engine = spec.engine or "vectorized"
+        self.engine = spec.engine or DEFAULT_ENGINE
         self.provisioned_length = spec.sequence_length or 2048
         self._mapping_options = dict(spec.options)
         self._mapping = self._make_mapping(self.provisioned_length)
@@ -546,7 +546,7 @@ class ApBatchBackend(_ApBackendBase):
         wall = time.perf_counter() - start
         cost = self._pass_cost(rows.shape[1])
         plan = self._mapping.plan(sequence_length=rows.shape[1])
-        fused = is_plan_engine(self.engine) and plan.packable
+        fused = plan.fused(self.engine)
         return SoftmaxResult(
             probabilities=probabilities.reshape(scores.shape),
             cost=BackendCost(
@@ -588,7 +588,7 @@ class ApClusterBackend(_BackendBase):
                 "resolve_backend('ap-cluster', num_heads=...)"
             )
         super().__init__(spec)
-        self.engine = spec.engine or "vectorized"
+        self.engine = spec.engine or DEFAULT_ENGINE
         self.cluster = ApCluster(
             num_heads=spec.num_heads,
             precision=spec.precision or BEST_PRECISION,
@@ -662,7 +662,6 @@ class ApClusterBackend(_BackendBase):
             sequence_length,
             self.engine,
             wall_seconds=wall,
-            threaded_passes=self.cluster.last_threaded_passes,
         )
         per_head = self._cluster_cost(sequence_length).per_head
         if telemetry.passes > 1:
@@ -731,7 +730,9 @@ class ApClusterBackend(_BackendBase):
                     f"matrices head-major"
                 )
             batch = scores.shape[0] // heads
-            stacked = scores.reshape(heads, batch, -1).transpose(1, 0, 2)
+            # Explicit seq (not -1): an empty (0, seq) batch must reshape.
+            stacked = scores.reshape(heads, batch, scores.shape[1])
+            stacked = stacked.transpose(1, 0, 2)
             per_head_lengths = (
                 None if lengths is None else lengths.reshape(heads, batch).T
             )
@@ -765,7 +766,6 @@ class ApClusterBackend(_BackendBase):
             sequence_length,
             self.engine,
             wall_seconds=wall,
-            threaded_passes=self.cluster.last_threaded_passes,
         )
         if telemetry.passes > 1:
             # A tiled workload flows through the two-stage load/compute

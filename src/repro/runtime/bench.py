@@ -14,7 +14,7 @@ One :class:`BenchSpec` per trajectory file:
 ========================  ==========================================
 ``llm_speed``             batched inference sweep vs the seed loop
 ``llm_generate``          KV-cache decode vs naive re-prefill
-``plan_fusion``           fused cluster pass + compiled engine
+``plan_fusion``           fused cluster pass vs the per-head loop
 ``serve``                 continuous-batching serving vs serial
 ========================  ==========================================
 """
@@ -34,8 +34,6 @@ __all__ = [
     "LLM_SPEED_WORKLOAD",
     "GENERATE_SPEEDUP_FLOOR",
     "FUSED_SPEEDUP_FLOOR",
-    "COMPILED_SPEEDUP_FLOOR",
-    "COMPILED_WORKLOAD",
     "SERVE_SPEEDUP_FLOOR",
     "SERVE_WORKLOAD",
     "llm_speed_payload",
@@ -71,21 +69,6 @@ GENERATE_SPEEDUP_FLOOR = 3.0
 
 #: Pinned wall-clock floor of the fused pass over the PR 2 per-head loop.
 FUSED_SPEEDUP_FLOOR = 3.0
-
-#: Pinned wall-clock floor of the compiled engine over the vectorized
-#: (packed-interpreter) engine on the 64-vector x 256-seq shape.
-COMPILED_SPEEDUP_FLOOR = 1.5
-
-#: The compiled-vs-vectorized acceptance shape: 16 batch x 4 heads = 64
-#: fused vectors of 256 elements.  The fast legs finish in well under a
-#: millisecond, so they are averaged over extra iterations for a stable
-#: ratio on noisy CI runners.
-COMPILED_WORKLOAD = {
-    "sequence_length": 256,
-    "batch": 16,
-    "heads": 4,
-    "fast_iterations": 10,
-}
 
 #: Pinned throughput floor of the continuous-batching server over the
 #: serial one-request-per-pass baseline at a saturating arrival rate.
@@ -161,9 +144,6 @@ def plan_fusion_payload(report, pinned_floor: float) -> Dict[str, Any]:
         "row_by_row_seconds": report.row_by_row_seconds,
         "fused_speedup": report.fused_speedup,
         "row_by_row_speedup": report.speedup,
-        "compiled_seconds": report.compiled_seconds,
-        "compiled_identical": report.compiled_identical,
-        "compiled_speedup": report.compiled_speedup,
         "pinned_floor": pinned_floor,
     }
 
@@ -270,21 +250,11 @@ def _run_plan_fusion(fast: bool) -> BenchResult:
 
     experiment = get_experiment("cluster-parity")
     fused = experiment.run(dict(experiment.fast_config) if fast else {})
-    compiled_workload = dict(COMPILED_WORKLOAD)
-    if fast:
-        compiled_workload.update(experiment.fast_config)
-    compiled = experiment.run(compiled_workload)
-    rendered = "\n".join(
-        [experiment.render(fused), "", experiment.render(compiled)]
-    )
     return BenchResult(
         name="plan_fusion",
-        rendered=rendered,
+        rendered=experiment.render(fused),
         metrics={
-            "fused_vs_loop": plan_fusion_payload(fused, FUSED_SPEEDUP_FLOOR),
-            "compiled_vs_vectorized": plan_fusion_payload(
-                compiled, COMPILED_SPEEDUP_FLOOR
-            ),
+            "fused_vs_loop": plan_fusion_payload(fused, FUSED_SPEEDUP_FLOOR)
         },
     )
 
@@ -317,7 +287,7 @@ _BENCHES: Dict[str, BenchSpec] = {
         ),
         BenchSpec(
             name="plan_fusion",
-            description="fused cluster pass + compiled engine vs loop paths",
+            description="fused cluster pass vs the per-head and row loops",
             runner=_run_plan_fusion,
         ),
         BenchSpec(

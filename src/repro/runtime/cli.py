@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         default=None,
-        help="functional AP engine (reference/vectorized/compiled)",
+        help="functional AP engine: compiled (the default fast path), "
+        "vectorized (per-op packed-word AP) or reference (bit-serial)",
     )
     serve.add_argument(
         "--num-heads", type=int, default=4, help="provisioned cluster heads"

@@ -27,7 +27,7 @@ sequence length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,13 @@ def as_request_matrix(
         raise ValueError(f"empty request of shape {matrix.shape}")
     lengths: Optional[np.ndarray] = None
     if valid_lengths is not None:
-        lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
+        lengths = np.asarray(valid_lengths)
+        if not np.issubdtype(lengths.dtype, np.integer):
+            # A cast would truncate [[2.9]] to [2] and serve it silently.
+            raise ValueError(
+                f"valid_lengths must be integers, got dtype {lengths.dtype}"
+            )
+        lengths = lengths.astype(np.int64).reshape(-1)
         if lengths.shape != (matrix.shape[0],):
             raise ValueError(
                 f"valid_lengths must hold one entry per request row "
@@ -74,8 +80,7 @@ def as_request_matrix(
     return matrix, lengths
 
 
-@dataclass(frozen=True)
-class RequestSlice:
+class RequestSlice(NamedTuple):
     """Where one request's rows live inside a coalesced batch."""
 
     start: int
@@ -136,7 +141,7 @@ def coalesce(
         scores[start : start + rows, :seq] = matrix
         if combined is not None:
             combined[start : start + rows] = seq if lengths is None else lengths
-        slices.append(RequestSlice(start=start, rows=rows, sequence_length=seq))
+        slices.append(RequestSlice(start, rows, seq))
         start += rows
     return CoalescedBatch(
         scores=scores, valid_lengths=combined, slices=tuple(slices)

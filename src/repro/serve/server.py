@@ -56,7 +56,8 @@ import json
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -67,7 +68,6 @@ from repro.reliability.breaker import EngineFallbackChain
 from repro.reliability.retry import DeadlineExceeded, RetryPolicy
 from repro.runtime.backend import (
     ApClusterBackend,
-    BackendCost,
     BackendSpec,
     SoftmaxBackend,
     SoftmaxResult,
@@ -96,7 +96,12 @@ class ServeResponse:
 
     ``result`` is the per-request :class:`SoftmaxResult` view of the batch
     pass (sliced probabilities, pass latency, energy share, the batch's
-    plan telemetry with ``queue_depth`` set); ``queue_wait_s`` the time the
+    plan telemetry with ``queue_depth`` set).  ``tick_result`` is the
+    whole coalesced pass, shared by every request of the tick (its
+    probabilities cover the whole tick); ``result`` is derived from it on
+    first access, because building a result per request on the worker
+    thread is a measurable share of a saturated tick and most clients
+    only read ``probabilities``.  ``queue_wait_s`` is the time the
     request sat queued before its tick executed; ``batch_requests`` /
     ``batch_rows`` the composition of the coalesced tick that served it.
 
@@ -109,15 +114,27 @@ class ServeResponse:
     """
 
     probabilities: np.ndarray
-    result: SoftmaxResult
     queue_wait_s: float
     batch_requests: int
     batch_rows: int
     tick: int
+    tick_result: SoftmaxResult = field(repr=False, compare=False)
     engine: Optional[str] = None
     retries: int = 0
     backoff_ms: float = 0.0
     deadline_missed: bool = False
+
+    @cached_property
+    def result(self) -> SoftmaxResult:
+        """This request's view of ``tick_result``: its own probabilities
+        and its row share of the pass energy."""
+        probabilities = self.probabilities
+        rows = 1 if probabilities.ndim == 1 else probabilities.shape[0]
+        cost = self.tick_result.cost
+        if cost is not None:
+            share = rows / self.batch_rows
+            cost = replace(cost, energy_j=cost.energy_j * share)
+        return replace(self.tick_result, probabilities=probabilities, cost=cost)
 
 
 @dataclass(frozen=True)
@@ -258,7 +275,8 @@ class SoftmaxServer:
         ``retry_seed`` seeds the backoff jitter stream.
     engine_chain:
         Ordered plan-engine fallback chain (e.g. ``("compiled",
-        "vectorized", "reference")``).  Requires ``backend`` to be a name
+        "vectorized", "reference")``: fast path, per-op AP, bit-serial
+        ground truth).  Requires ``backend`` to be a name
         or :class:`BackendSpec` — the server builds one runner per
         engine (sharing the underlying cluster for ``ap-cluster``) and a
         circuit breaker per level (``breaker_*`` knobs).  Engines are
@@ -656,43 +674,24 @@ class SoftmaxServer:
             ]
         self._record_outcome(engine, probe, None)
         parts = split(fused, result.probabilities)
-        plan = (
-            None
-            if result.plan is None
-            else replace(result.plan, queue_depth=len(batch))
-        )
+        if result.plan is not None:
+            result = replace(
+                result, plan=replace(result.plan, queue_depth=len(batch))
+            )
         now = time.monotonic()
-        responses: List[Union[ServeResponse, Exception]] = []
-        for pending, part in zip(batch, parts):
-            share = pending.rows / fused.rows
-            cost = (
-                None
-                if result.cost is None
-                else BackendCost(
-                    latency_s=result.cost.latency_s,
-                    energy_j=result.cost.energy_j * share,
-                    area_mm2=result.cost.area_mm2,
-                )
+        return [
+            ServeResponse(
+                probabilities=part[0] if pending.squeeze else part,
+                queue_wait_s=max(0.0, tick_start - pending.enqueued),
+                batch_requests=len(batch),
+                batch_rows=fused.rows,
+                tick=tick,
+                tick_result=result,
+                engine=engine,
+                deadline_missed=pending.expired(now),
             )
-            responses.append(
-                ServeResponse(
-                    probabilities=part[0] if pending.squeeze else part,
-                    result=SoftmaxResult(
-                        probabilities=part[0] if pending.squeeze else part,
-                        cost=cost,
-                        cycles=result.cycles,
-                        backend=result.backend,
-                        plan=plan,
-                    ),
-                    queue_wait_s=max(0.0, tick_start - pending.enqueued),
-                    batch_requests=len(batch),
-                    batch_rows=fused.rows,
-                    tick=tick,
-                    engine=engine,
-                    deadline_missed=pending.expired(now),
-                )
-            )
-        return responses
+            for pending, part in zip(batch, parts)
+        ]
 
     def _execute_single(
         self, pending: _Pending, tick: int, tick_start: float
@@ -751,11 +750,11 @@ class SoftmaxServer:
         )
         return ServeResponse(
             probabilities=probabilities,
-            result=replace(result, probabilities=probabilities, plan=plan),
             queue_wait_s=max(0.0, tick_start - pending.enqueued),
             batch_requests=1,
             batch_rows=pending.rows,
             tick=tick,
+            tick_result=replace(result, plan=plan),
             engine=engine,
             retries=retries,
             backoff_ms=backoff_total,
@@ -844,7 +843,9 @@ class SoftmaxServer:
 
     async def _reply_for_line(self, line: bytes) -> Dict[str, Any]:
         try:
-            payload = json.loads(line)
+            payload = json.loads(line, parse_constant=_reject_constant)
+        except _NonFiniteLiteral as error:
+            return {"id": None, "error": str(error), "code": "bad-request"}
         except json.JSONDecodeError as error:
             return {
                 "id": None,
@@ -908,6 +909,19 @@ class SoftmaxServer:
 
 #: Keys a TCP request line may carry; anything else is a structured error.
 _ALLOWED_KEYS = {"id", "scores", "valid_lengths", "deadline_ms", "op"}
+
+
+class _NonFiniteLiteral(ValueError):
+    """A ``NaN``/``Infinity``/``-Infinity`` literal on a request line."""
+
+
+def _reject_constant(literal: str) -> Any:
+    # json.loads accepts these non-JSON literals by default; a NaN score
+    # row would then come back as a plausible uniform distribution.
+    raise _NonFiniteLiteral(
+        f"non-finite literal {literal} is not valid JSON; "
+        f"scores must be finite numbers"
+    )
 
 
 async def _read_request_line(reader) -> Tuple[Optional[bytes], bool]:

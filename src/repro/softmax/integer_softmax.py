@@ -269,7 +269,7 @@ class IntegerSoftmax:
         self,
         x: np.ndarray,
         axis: int = -1,
-        backend: str = "vectorized",
+        backend: Optional[str] = None,
         valid_lengths: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Evaluate the softmax on the functional Associative Processor.
@@ -279,10 +279,10 @@ class IntegerSoftmax:
         single call via
         :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`
         — every probability is produced by CAM compare/write semantics
-        rather than host arithmetic.  With the default ``"vectorized"``
-        backend the packed-word engine makes this fast enough for realistic
-        batch/sequence sizes; ``"reference"`` runs the bit-serial ground
-        truth (slow, for validation).
+        rather than host arithmetic.  ``backend`` defaults to
+        :data:`~repro.ap.engine.DEFAULT_ENGINE` (``"compiled"``), fast
+        enough for realistic batch/sequence sizes; ``"reference"`` runs the
+        bit-serial ground truth (slow, for validation).
 
         Note the AP dataflow uses the raw (uncorrected) Barrett quotient and
         an exact block sum, so the result can differ in the last fixed-point
@@ -294,6 +294,8 @@ class IntegerSoftmax:
         masked positions — the causal-attention layout; see
         :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`.
         """
+        # Imported lazily: `import repro` must not pull in the AP stack.
+        from repro.ap.engine import DEFAULT_ENGINE
         from repro.mapping.softmap import SoftmAPMapping
 
         x = np.asarray(x, dtype=np.float64)
@@ -305,7 +307,7 @@ class IntegerSoftmax:
             precision=self.precision,
             sequence_length=flat.shape[-1],
             clip_threshold=self.quantizer.clip_threshold,
-            backend=backend,
+            backend=DEFAULT_ENGINE if backend is None else backend,
         )
         probabilities = mapping.execute_functional_batch(
             flat,

@@ -7,8 +7,9 @@ Three layers under test, matching the refactor's split:
 * the **buffer-liveness pass** (``repro.mapping.plan.plan_buffers``) —
   scalar folding, dead-write elimination, slot assignment invariants;
 * the **scratch-arena executor** (``repro.ap.compiled.CompiledEngine``) —
-  bit-identity against the packed interpreter and the bit-serial reference
-  across odd shapes and ragged lengths, arena reuse, and thread safety.
+  bit-identity against the per-op ``vectorized`` AP engine and the
+  bit-serial reference across odd shapes and ragged lengths, arena reuse,
+  and thread safety.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,10 +26,8 @@ from repro.ap.engine import (
     canonical_engine_name,
     engine_info,
     engine_names,
-    is_plan_engine,
     processor_engine_names,
     register_engine,
-    resolve_plan_executor,
 )
 from repro.mapping.plan import ExecutionPlan, plan_buffers
 from repro.mapping.softmap import SoftmAPMapping
@@ -44,17 +43,11 @@ class TestEngineRegistry:
         assert processor_engine_names() == ("reference", "vectorized")
         assert not engine_info("compiled").supports_processor
 
-    def test_plan_executor_flags(self):
-        assert not is_plan_engine("reference")
-        assert is_plan_engine("vectorized")
-        assert is_plan_engine("compiled")
-
-    def test_resolve_plan_executor_builds_the_compiled_engine(self):
-        factory = resolve_plan_executor("compiled")
-        executor = factory(ExecutionPlan(sequence_length=8))
-        assert isinstance(executor, CompiledEngine)
-        with pytest.raises(ValueError, match="no plan executor"):
-            resolve_plan_executor("reference")
+    def test_plan_builds_the_compiled_engine(self):
+        plan = ExecutionPlan(sequence_length=8)
+        assert isinstance(plan.compiled_engine, CompiledEngine)
+        assert plan.fused("compiled")
+        assert not plan.fused("vectorized") and not plan.fused("reference")
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -65,8 +58,6 @@ class TestEngineRegistry:
             register_engine(123, "not a name")
         with pytest.raises(TypeError):
             register_engine("", "empty name")
-        with pytest.raises(ValueError, match="module:attribute"):
-            register_engine("broken", "bad ref", plan_executor="noseparator")
 
     def test_engine_names_is_a_live_view(self):
         """A registered engine must flow through every seam without any
@@ -153,6 +144,7 @@ class TestCompiledParity:
     def test_compiled_equals_vectorized_and_reference(
         self, seq, batch, ragged, scale, seed
     ):
+        """The compiled fast path against both per-op AP engines."""
         rng = np.random.default_rng(seed)
         plan = ExecutionPlan(sequence_length=seq)
         scores = rng.normal(0.0, scale, size=(batch, seq))
@@ -195,7 +187,7 @@ class TestCompiledParity:
 class TestCompiledEngineRuntime:
     def test_arena_is_reused_across_calls(self, rng):
         plan = ExecutionPlan(sequence_length=32)
-        executor = plan.plan_executor("compiled")
+        executor = plan.compiled_engine
         scores = rng.normal(0.0, 2.0, size=(4, 32))
         plan.execute(scores, engine="compiled")
         allocated = executor.arena_bytes
@@ -207,7 +199,7 @@ class TestCompiledEngineRuntime:
 
     def test_arena_grows_geometrically_with_the_workload(self, rng):
         plan = ExecutionPlan(sequence_length=64)
-        executor = plan.plan_executor("compiled")
+        executor = plan.compiled_engine
         plan.execute(rng.normal(size=(1, 64)), engine="compiled")
         small = executor.arena_bytes
         plan.execute(rng.normal(size=(64, 64)), engine="compiled")
@@ -216,12 +208,18 @@ class TestCompiledEngineRuntime:
         plan.execute(rng.normal(size=(64, 64)), engine="compiled")
         assert executor.arena_bytes == grown
 
-    def test_executor_is_cached_per_engine(self):
+    def test_executor_is_cached_per_engine(self, rng):
+        """One compiled engine per plan; the per-op AP engines never build
+        or report its arena."""
         plan = ExecutionPlan(sequence_length=8)
-        assert plan.plan_executor("compiled") is plan.plan_executor("compiled")
-        assert plan.plan_executor("compiled") is not plan.plan_executor(
-            "vectorized"
-        )
+        scores = rng.normal(0.0, 2.0, size=(2, 8))
+        plan.execute(scores, engine="vectorized")
+        assert plan.arena_bytes() == 0  # nothing compiled or allocated yet
+        assert plan.compiled_engine is plan.compiled_engine
+        plan.execute(scores, engine="compiled")
+        assert plan.arena_bytes("compiled") > 0
+        assert plan.arena_bytes("vectorized") == 0
+        assert plan.arena_bytes("reference") == 0
 
     def test_concurrent_runs_are_bit_identical(self, rng):
         """Worker threads borrow distinct arenas from the pool: concurrent
@@ -238,29 +236,6 @@ class TestCompiledEngineRuntime:
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
 
-    def test_threaded_cluster_passes_match_serial(self, rng):
-        from repro.mapping.cluster import ApCluster
-
-        scores = rng.normal(0.0, 2.0, size=(6, 2, 9))
-        lengths = rng.integers(1, 10, size=6)
-        serial = ApCluster(
-            num_heads=2, sequence_length=9, pass_row_budget=3 * 9
-        )
-        threaded = ApCluster(
-            num_heads=2,
-            sequence_length=9,
-            pass_row_budget=3 * 9,
-            pass_workers=4,
-            backend="compiled",
-        )
-        expected = serial.execute(scores, valid_lengths=lengths)
-        got = threaded.execute(scores, valid_lengths=lengths)
-        assert np.array_equal(got, expected)
-        assert threaded.last_threaded_passes == len(
-            threaded.workload_passes(12, 9)
-        )
-        assert serial.last_threaded_passes == 0
-
     def test_pass_list_is_cached(self):
         from repro.mapping.cluster import ApCluster
 
@@ -273,10 +248,11 @@ class TestCompiledEngineRuntime:
         """A layout the packed path cannot serve must still accept the
         plan-only engine by falling back to the packed-word AP sweep."""
         plan = ExecutionPlan(sequence_length=8)
-        if plan.packable:
-            plan.packable = False  # force the fallback path
         scores = rng.normal(0.0, 2.0, size=(2, 8))
-        assert np.array_equal(
-            plan.execute(scores, engine="compiled"),
-            plan.execute(scores, engine="vectorized"),
-        )
+        compiled = plan.execute(scores, engine="compiled")
+        plan.packable = False  # force the fallback path
+        assert not plan.fused("compiled")
+        fallback = plan.execute(scores, engine="compiled")
+        assert np.array_equal(fallback, compiled)
+        assert np.array_equal(fallback, plan.execute(scores, engine="vectorized"))
+        assert np.array_equal(fallback, plan.execute(scores, engine="reference"))

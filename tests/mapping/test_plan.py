@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ap.engine import UnknownEngineError, canonical_engine_name
+from repro.ap.engine import (
+    DEFAULT_ENGINE,
+    UnknownEngineError,
+    canonical_engine_name,
+)
 from repro.ap.processor2d import AssociativeProcessor2D
+from repro.llm.config import LLAMA2_7B
+from repro.llm.perplexity import ap_cluster_softmax_fn
 from repro.mapping.cluster import ApCluster
+from repro.mapping.deployment import ApDeployment
 from repro.mapping.plan import ExecutionPlan, WorkloadPass, plan_passes
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION
@@ -50,7 +57,7 @@ class TestFusedParityProperty:
         plan = cluster.mapping.plan(sequence_length=seq)
         looped = np.empty_like(scores)
         for h in range(heads):
-            looped[:, h, :] = plan.execute_on_ap(
+            looped[:, h, :] = plan.execute(
                 scores[:, h, :],
                 valid_lengths=None if lengths is None else lengths[:, h],
                 engine=loop_engine,
@@ -66,12 +73,12 @@ class TestFusedParityProperty:
     def test_engines_agree_on_the_fused_row_space(self, rng):
         scores = rng.normal(0.0, 2.0, size=(2, 3, 7))
         cluster = ApCluster(num_heads=3, sequence_length=7)
-        vectorized = cluster.execute(scores, backend="vectorized")
+        compiled = cluster.execute(scores)
         assert np.array_equal(
-            vectorized, cluster.execute(scores, backend="reference")
+            compiled, cluster.execute(scores, backend="vectorized")
         )
         assert np.array_equal(
-            vectorized, cluster.execute(scores, backend="compiled")
+            compiled, cluster.execute(scores, backend="reference")
         )
 
 
@@ -192,18 +199,73 @@ class TestEngineValidation:
 
     def test_processor_seams_reject_the_plan_only_engine(self):
         """The compiled engine has no per-operation CAM-sweep mode: the
-        processor constructors and execute_on_ap must refuse it with the
-        same did-you-mean error family as a typo."""
+        processor constructors must refuse it with the same did-you-mean
+        error family as a typo."""
         with pytest.raises(UnknownEngineError):
             AssociativeProcessor2D(rows=2, columns=8, backend="compiled")
         with pytest.raises(UnknownEngineError):
-            ExecutionPlan(sequence_length=8).execute_on_ap(
-                np.zeros((1, 8)), engine="compiled"
-            )
+            canonical_engine_name("compiled", processor=True)
 
     def test_unknown_engine_is_a_value_error(self):
         """Callers catching the historical ValueError keep working."""
         assert issubclass(UnknownEngineError, ValueError)
+
+
+def _forward_on_ap_engine(monkeypatch):
+    """The engine IntegerSoftmax.forward_on_ap builds its mapping with."""
+    engines = []
+    original = SoftmAPMapping.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        engines.append(self.backend)
+
+    monkeypatch.setattr(SoftmAPMapping, "__init__", spy)
+    IntegerSoftmax(BEST_PRECISION).forward_on_ap(np.zeros((1, 4)))
+    return engines[-1]
+
+
+def _cluster_softmax_fn_engine(monkeypatch):
+    with pytest.warns(DeprecationWarning):
+        softmax_fn = ap_cluster_softmax_fn(2, BEST_PRECISION, 8)
+    return softmax_fn.backend.engine
+
+
+class TestDefaultEngine:
+    """Every plan-executing seam takes its default from DEFAULT_ENGINE."""
+
+    def test_the_default_is_the_compiled_engine(self):
+        assert DEFAULT_ENGINE == "compiled"
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            lambda mp: ExecutionPlan(sequence_length=8).engine,
+            lambda mp: ApCluster(num_heads=2, sequence_length=8).backend,
+            lambda mp: resolve_backend("ap", sequence_length=8).engine,
+            lambda mp: resolve_backend("ap-batch", sequence_length=8).engine,
+            lambda mp: resolve_backend(
+                "ap-cluster", num_heads=2, sequence_length=8
+            ).engine,
+            _forward_on_ap_engine,
+            lambda mp: ApDeployment(
+                LLAMA2_7B, max_sequence_length=8
+            ).cluster().backend,
+            _cluster_softmax_fn_engine,
+        ],
+        ids=[
+            "ExecutionPlan",
+            "ApCluster",
+            "ap",
+            "ap-batch",
+            "ap-cluster",
+            "forward_on_ap",
+            "ApDeployment.cluster",
+            "ap_cluster_softmax_fn",
+        ],
+    )
+    def test_default_site_resolves_to_default_engine(self, site, monkeypatch):
+        assert site(monkeypatch) == DEFAULT_ENGINE
 
 
 class TestPlanTelemetry:
@@ -211,7 +273,7 @@ class TestPlanTelemetry:
         backend = resolve_backend("ap-cluster", num_heads=2, sequence_length=8)
         result = backend.run(rng.normal(0.0, 2.0, size=(2, 2, 8)))
         assert result.plan is not None
-        assert result.plan.fused and result.plan.engine == "vectorized"
+        assert result.plan.fused and result.plan.engine == DEFAULT_ENGINE
         assert result.plan.passes == 1
         assert result.plan.vectors == 4
         assert result.plan.segment_length == 8
@@ -224,10 +286,11 @@ class TestPlanTelemetry:
         assert result.plan.passes == 1 and result.plan.vectors == 3
 
     def test_fused_flag_reports_the_actual_execution_path(self, rng):
-        """fused must be False when the reference engine interprets the
-        program on the AP instead of the packed fast path running."""
+        """fused must be False when a processor engine interprets the
+        program on the AP instead of the compiled fast path running."""
         cluster = ApCluster(num_heads=2, sequence_length=8)
         assert cluster.plan_telemetry(4, 8).fused
+        assert not cluster.plan_telemetry(4, 8, engine="vectorized").fused
         assert not cluster.plan_telemetry(4, 8, engine="reference").fused
         backend = resolve_backend(
             "ap-batch", sequence_length=8, engine="reference"
@@ -291,37 +354,18 @@ class TestPlanTelemetry:
         assert reference.plan.arena_slots == 0
         assert reference.plan.arena_bytes == 0
 
-    def test_threaded_passes_surface_through_telemetry(self, rng):
-        backend = resolve_backend(
-            "ap-cluster",
-            num_heads=2,
-            sequence_length=8,
-            engine="compiled",
-            options={"pass_row_budget": 16, "pass_workers": 2},
-        )
-        result = backend.run(rng.normal(0.0, 2.0, size=(3, 2, 8)))
-        assert result.plan.passes == 3
-        assert result.plan.threaded_passes == 3
-        serial = resolve_backend(
-            "ap-cluster",
-            num_heads=2,
-            sequence_length=8,
-            options={"pass_row_budget": 16},
-        ).run(rng.normal(0.0, 2.0, size=(3, 2, 8)))
-        assert serial.plan.threaded_passes == 0
-
 
 class TestExecutionSubstrates:
-    def test_execute_on_ap_matches_fused_packed_path(self, rng):
+    def test_per_op_engines_match_the_compiled_path(self, rng):
         plan = ExecutionPlan(sequence_length=12)
         scores = rng.normal(0.0, 2.0, size=(4, 12))
         lengths = np.array([1, 5, 12, 7])
-        fused = plan.execute(scores, valid_lengths=lengths, engine="vectorized")
-        on_ap = plan.execute_on_ap(
+        compiled = plan.execute(scores, valid_lengths=lengths)
+        vectorized = plan.execute(
             scores, valid_lengths=lengths, engine="vectorized"
         )
-        reference = plan.execute_on_ap(
+        reference = plan.execute(
             scores, valid_lengths=lengths, engine="reference"
         )
-        assert np.array_equal(fused, on_ap)
-        assert np.array_equal(fused, reference)
+        assert np.array_equal(compiled, vectorized)
+        assert np.array_equal(compiled, reference)

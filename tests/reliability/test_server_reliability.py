@@ -414,6 +414,39 @@ class TestHardenedTcp:
         assert naked["code"] == "bad-request" and naked["id"] == 9
         assert "scores" in naked["error"]
 
+    def test_non_finite_literals_are_bad_requests(self):
+        """json.loads accepts NaN/Infinity by default; a NaN score row
+        must not come back as a plausible uniform distribution."""
+
+        async def scenario(reader, writer):
+            replies = []
+            for literal in (b"NaN", b"Infinity", b"-Infinity"):
+                line = b'{"id": 1, "scores": [[0.0, ' + literal + b", 1.0]]}"
+                replies.append(await self._round_trip(writer, reader, line))
+            survivor = await self._round_trip(
+                writer, reader, {"id": 2, "scores": [[0.0] * 8]}
+            )
+            return replies, survivor
+
+        replies, survivor = self._serve(scenario)
+        for reply, literal in zip(replies, ("NaN", "Infinity", "-Infinity")):
+            assert reply["code"] == "bad-request"
+            assert "probabilities" not in reply
+            assert literal in reply["error"]
+        assert survivor["id"] == 2 and "probabilities" in survivor
+
+    def test_fractional_valid_lengths_are_bad_requests(self):
+        async def scenario(reader, writer):
+            return await self._round_trip(
+                writer,
+                reader,
+                {"id": 6, "scores": [[0.0] * 4], "valid_lengths": [2.9]},
+            )
+
+        reply = self._serve(scenario)
+        assert reply["code"] == "bad-request" and reply["id"] == 6
+        assert "must be integers" in reply["error"]
+
     def test_oversized_line_is_discarded_not_fatal(self):
         async def scenario(reader, writer):
             huge = {"id": 1, "scores": [[0.0] * 4096]}

@@ -98,6 +98,15 @@ class TestResolution:
         with pytest.raises(ValueError, match="num_heads"):
             resolve_backend("ap-cluster", sequence_length=16)
 
+    @pytest.mark.parametrize(
+        "name", ["float", "integer", "ap", "ap-batch", "ap-cluster"]
+    )
+    def test_empty_batch_returns_an_empty_result(self, name):
+        backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        empty = np.zeros((0, 16))
+        assert backend.run(empty).probabilities.shape == (0, 16)
+        assert backend.run_rows(empty).probabilities.shape == (0, 16)
+
 
 class TestProbabilityParity:
     """Every backend family must agree bit for bit with its legacy path."""

@@ -123,6 +123,24 @@ class TestCoalescing:
         for tick_responses in by_tick.values():
             shares = sum(r.result.cost.energy_j for r in tick_responses)
             assert shares > 0.0
+            tick_energy = tick_responses[0].tick_result.cost.energy_j
+            assert shares == pytest.approx(tick_energy, rel=1e-12)
+
+    def test_result_is_a_cached_view_of_the_shared_tick_pass(self):
+        async def scenario():
+            async with SoftmaxServer(self.SPEC, max_wait_ms=20.0) as server:
+                return await asyncio.gather(
+                    server.submit(np.arange(16.0)),
+                    server.submit(np.arange(32.0).reshape(2, 16)),
+                )
+
+        one_row, two_rows = asyncio.run(scenario())
+        assert one_row.tick == two_rows.tick
+        assert one_row.tick_result is two_rows.tick_result
+        for response in (one_row, two_rows):
+            assert response.result is response.result
+            assert response.result.probabilities is response.probabilities
+            assert "tick_result" not in repr(response)
 
 
 class TestThirdPartyBackends:
@@ -194,6 +212,11 @@ class TestFaultIsolation:
                 with pytest.raises(ValueError, match="1..seq"):
                     await server.submit(
                         np.zeros((1, 4)), valid_lengths=[9]
+                    )
+                # Fractional lengths are rejected, not truncated to [2].
+                with pytest.raises(ValueError, match="must be integers"):
+                    await server.submit(
+                        np.zeros((1, 4)), valid_lengths=[[2.9]]
                     )
                 response = await server.submit(np.arange(4.0))
                 return response
