@@ -15,7 +15,8 @@ for Integer-Only Softmax on Associative Processors* (DATE 2025), including:
   or :meth:`~repro.softmax.integer_softmax.IntegerSoftmax.forward_on_ap`;
 * the SoftmAP dataflow mapping and hardware characterization
   (:mod:`repro.mapping`), executed through compiled plans
-  (:mod:`repro.mapping.plan`): the dataflow is lowered once per shape and
+  (:mod:`repro.mapping.plan`): the dataflow is lowered once per sum-width
+  class, shared by every sequence length of the class, and
   whole ``(batch, heads, seq)`` workloads run as fused wide passes on the
   default ``"compiled"`` engine (:class:`~repro.ap.compiled.CompiledEngine`),
   bit-identical to both per-operation engines;

@@ -1,11 +1,14 @@
 """The ``"compiled"`` engine: buffer-planned, in-place plan execution.
 
-:class:`~repro.mapping.plan.ExecutionPlan` lowers the Fig. 5 dataflow once
-per shape.  The dataflow is *fixed* per (precision, sequence, width) shape,
-so everything but the score values can be resolved at compile time.
+:class:`~repro.mapping.plan.LoweredProgram` lowers the Fig. 5 dataflow once
+per width class: the sixteen steps are the same for every sequence length,
+and only the reduction field widens with ``log2 N``.  So everything but the
+score values and the segment length can be resolved at compile time.
 :class:`CompiledEngine` is that last lowering level — the one fast plan
 executor and the default engine
-(:data:`~repro.ap.engine.DEFAULT_ENGINE`):
+(:data:`~repro.ap.engine.DEFAULT_ENGINE`).  It reads the segment length
+from its input at run time, so one engine (and one arena pool) serves every
+sequence length of its width class:
 
 * **buffer-planned scratch arena** — the plan's buffer-liveness pass
   (:func:`repro.mapping.plan.plan_buffers`) assigns every vector field a
@@ -84,18 +87,18 @@ class _Arena:
 
 
 class CompiledEngine:
-    """Executes one plan's buffer-planned program against a scratch arena.
+    """Executes one lowered program against a scratch arena.
 
-    One instance per plan (``ExecutionPlan.compiled_engine``), holding the
-    compiled closures and the arena pool.  ``run`` is thread-safe:
-    concurrent calls borrow distinct arenas.
+    One instance per :class:`~repro.mapping.plan.LoweredProgram` (reached
+    as ``ExecutionPlan.compiled_engine``), holding the compiled closures and
+    the arena pool; every plan of the program's width class shares it.
+    ``run`` is thread-safe: concurrent calls borrow distinct arenas.
     """
 
-    def __init__(self, plan) -> None:
-        self._n = plan.sequence_length
-        self._slot_rows = plan.buffers.num_slots + TEMP_SLOTS
-        self._out_slot = plan.buffers.slots["out"]
-        self._steps = self._compile(plan)
+    def __init__(self, lowered) -> None:
+        self._slot_rows = lowered.buffers.num_slots + TEMP_SLOTS
+        self._out_slot = lowered.buffers.slots["out"]
+        self._steps = self._compile(lowered)
         self._pool: List[_Arena] = []
         self._pool_lock = threading.Lock()
         self._allocated_bytes = 0
@@ -140,32 +143,33 @@ class CompiledEngine:
     # ------------------------------------------------------------------ #
     # Execution                                                            #
     # ------------------------------------------------------------------ #
-    def run(
-        self, z: np.ndarray, pad_mask: Optional[np.ndarray], batch: int
-    ) -> np.ndarray:
-        """Run the compiled program over ``batch`` segments of quantized ``z``."""
+    def run(self, z: np.ndarray, pad_mask: Optional[np.ndarray]) -> np.ndarray:
+        """Run the compiled program over the quantized ``(vectors,
+        segment_length)`` input ``z``; the segment length is read from its
+        shape, so one engine serves every length of its width class."""
+        shape = z.shape
         words = int(z.size)
         arena = self._acquire(words)
         try:
             views = [arena.buf[row, :words] for row in range(self._slot_rows)]
             bools = arena.bools[:words]
             padflat = None if pad_mask is None else pad_mask.ravel()
+            zflat = z.reshape(-1)
             for step in self._steps:
-                step(views, bools, z, padflat, batch)
+                step(views, bools, zflat, padflat, shape)
             out = views[self._out_slot].astype(np.float64)
         finally:
             self._release(arena)
-        return out.reshape(batch, self._n)
+        return out.reshape(shape)
 
     # ------------------------------------------------------------------ #
     # Compilation: one closure per (possibly fused) instruction            #
     # ------------------------------------------------------------------ #
-    def _compile(self, plan) -> List[Callable]:
-        bits: Dict[str, int] = dict(plan._bits)
-        buffers = plan.buffers
+    def _compile(self, lowered) -> List[Callable]:
+        bits: Dict[str, int] = lowered.bits
+        buffers = lowered.buffers
         slots = buffers.slots
         scalar_set = set(buffers.scalar_fields)
-        n = self._n
         t0 = buffers.num_slots
         t1 = buffers.num_slots + 1
 
@@ -174,7 +178,7 @@ class CompiledEngine:
         # disappears from the instruction stream.
         scalars: Dict[str, int] = {
             op.dest: op.value
-            for op in plan.program
+            for op in lowered.program
             if op.op == "write_const" and op.dest in scalar_set
         }
 
@@ -185,7 +189,7 @@ class CompiledEngine:
             return slots[name]
 
         steps: List[Callable] = []
-        program = list(plan.program)
+        program = list(lowered.program)
         index = 0
         while index < len(program):
             op = program[index]
@@ -251,7 +255,7 @@ class CompiledEngine:
             elif op.op == "reduce_broadcast":
                 steps.append(
                     self._reduce_broadcast(
-                        slots[op.a], slots[op.dest], _mask64(bits[op.dest]), n
+                        slots[op.a], slots[op.dest], _mask64(bits[op.dest])
                     )
                 )
             elif op.op == "divide":
@@ -270,19 +274,20 @@ class CompiledEngine:
         return steps
 
     # Each factory below returns a closure with the uniform signature
-    # step(views, bools, z, padflat, batch); everything shape-independent
-    # is captured at compile time.
+    # step(views, bools, z, padflat, shape), where shape is the run's
+    # (vectors, segment_length); everything length-independent is captured
+    # at compile time.
 
     @staticmethod
     def _write_input(dest: int) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             np.copyto(views[dest], z, casting="unsafe")
 
         return step
 
     @staticmethod
     def _fill(dest: int, value: np.uint64) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             views[dest].fill(value)
 
         return step
@@ -293,7 +298,7 @@ class CompiledEngine:
     ) -> Callable:
         constant = np.uint64(value)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             d = views[dest]
             np.bitwise_and(views[source], mask, out=d)
             np.subtract(constant, d, out=d)
@@ -303,7 +308,7 @@ class CompiledEngine:
 
     @staticmethod
     def _multiply(a, b, dest: int, mask: np.uint64) -> Callable:
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             d = views[dest]
             ra = views[a] if isinstance(a, int) else a
             rb = views[b] if isinstance(b, int) else b
@@ -318,7 +323,7 @@ class CompiledEngine:
     ) -> Callable:
         shift_u = np.uint64(shift)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             d = views[dest]
             if shift:
                 np.right_shift(views[source], shift_u, out=d)
@@ -333,7 +338,7 @@ class CompiledEngine:
     def _subtract(a: int, b, mask: np.uint64, t0: int) -> Callable:
         if isinstance(b, int):
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, padflat, shape):
                 d = views[a]
                 t = views[t0]
                 np.bitwise_and(views[b], mask, out=t)
@@ -343,7 +348,7 @@ class CompiledEngine:
         else:
             constant = b & mask
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, padflat, shape):
                 d = views[a]
                 np.subtract(d, constant, out=d)
                 np.bitwise_and(d, mask, out=d)
@@ -354,7 +359,7 @@ class CompiledEngine:
     def _add(b: int, a, mask: np.uint64, t0: int) -> Callable:
         if isinstance(a, int):
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, padflat, shape):
                 d = views[b]
                 t = views[t0]
                 np.bitwise_and(views[a], mask, out=t)
@@ -364,7 +369,7 @@ class CompiledEngine:
         else:
             constant = a & mask
 
-            def step(views, bools, z, padflat, batch):
+            def step(views, bools, z, padflat, shape):
                 d = views[b]
                 np.add(d, constant, out=d)
                 np.bitwise_and(d, mask, out=d)
@@ -382,7 +387,7 @@ class CompiledEngine:
             for k in range(stages)
         ]
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             cur = views[dest]
             pred = views[t0]
             shifted = views[t1]
@@ -407,18 +412,18 @@ class CompiledEngine:
     def _mask_padding(dest: int) -> Callable:
         zero = np.uint64(0)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             if padflat is not None:
                 np.copyto(views[dest], zero, where=padflat)
 
         return step
 
     @staticmethod
-    def _reduce_broadcast(a: int, dest: int, mask: np.uint64, n: int) -> Callable:
-        def step(views, bools, z, padflat, batch):
-            totals = views[a].reshape(batch, n).sum(axis=1, dtype=np.uint64)
+    def _reduce_broadcast(a: int, dest: int, mask: np.uint64) -> Callable:
+        def step(views, bools, z, padflat, shape):
+            totals = views[a].reshape(shape).sum(axis=1, dtype=np.uint64)
             np.bitwise_and(totals, mask, out=totals)
-            views[dest].reshape(batch, n)[:] = totals[:, None]
+            views[dest].reshape(shape)[:] = totals[:, None]
 
         return step
 
@@ -436,7 +441,7 @@ class CompiledEngine:
         one = np.uint64(1)
         zero = np.uint64(0)
 
-        def step(views, bools, z, padflat, batch):
+        def step(views, bools, z, padflat, shape):
             d = views[dest]
             t = views[t0]
             divisor = views[b]

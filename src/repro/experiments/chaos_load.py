@@ -15,8 +15,13 @@ compiled engine's breaker and degrades the chain to ``vectorized``, and
 (c) — once the fault budget is exhausted — lets a half-open probe succeed
 and recover the chain.  A low-probability latency spike on ``serve:tick``
 perturbs the p99 on top.  The schedule is *event-indexed*: each spec
-fires at deterministic positions in its seam's call sequence, so the same
-seeds replay the same outage regardless of how ticks coalesce.
+fires at deterministic positions in its seam's call sequence.  A report
+still depends on how many ticks the stream forms: tick-latency stalls are
+drawn per tick, a half-open probe that lands on a tick spawns no retry,
+and a stream of few ticks can end before the recovery probe.  Under
+coalescing, tick formation follows arrival timing.  The fast config admits
+one request per tick (``max_batch_rows=1``), so its whole report replays
+exactly.
 
 The pins (asserted by ``benchmarks/test_chaos_load.py`` and the CI
 chaos-smoke job):
@@ -285,6 +290,7 @@ class ChaosLoadExperiment(Experiment):
         "num_requests": 32,
         "sequence_lengths": (8, 16),
         "max_wait_ms": 1.0,
+        "max_batch_rows": 1,
     }
 
     def run(self, config=None):

@@ -7,11 +7,17 @@ sixteen steps through Python for every head of every layer of every pass.
 The plan layer splits that into the classic *lower once / execute many*
 pipeline:
 
-``compile`` (once per shape)
-    :class:`ExecutionPlan` resolves everything that does not depend on the
-    score values — quantizer constants, every field width and column, the
-    lowered instruction sequence (:class:`PlanOp`) and the analytical
-    Table II cost of each dataflow step (:class:`StepCost`).
+``compile`` (once per width class)
+    :class:`LoweredProgram` resolves everything that depends on neither the
+    score values nor the sequence length — quantizer constants, every field
+    width and column, the lowered instruction sequence (:class:`PlanOp`),
+    the buffer plan and the compiled engine.  The Fig. 5 dataflow is the
+    same sixteen steps for every length; only the sum field widens with
+    ``log2 N``, so every length of one :func:`width_class` shares one
+    program.  :class:`ExecutionPlan` is the cheap per-length view over it:
+    the sequence length, its row count, input validation, and the
+    analytical Table II cost of each dataflow step (:class:`StepCost`),
+    derived on first use.
 
 ``execute`` (per score tensor)
     The lowered program runs over the whole workload as **one fused,
@@ -47,6 +53,7 @@ Every fused execution is bit-identical to the per-head loop (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,6 +84,7 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 __all__ = [
     "BufferPlan",
     "ExecutionPlan",
+    "LoweredProgram",
     "MappingCost",
     "PlanField",
     "PlanOp",
@@ -86,6 +94,7 @@ __all__ = [
     "multiplication_cycles_general",
     "plan_buffers",
     "plan_passes",
+    "width_class",
 ]
 
 # --------------------------------------------------------------------------- #
@@ -265,7 +274,7 @@ def _op_writes(op: PlanOp) -> Tuple[str, ...]:
 class BufferPlan:
     """The lowering layer's buffer-liveness result: fields -> arena slots.
 
-    Computed once per compiled plan from the lowered :class:`PlanOp` list:
+    Computed once per lowered program from its :class:`PlanOp` list:
     every *vector* field (one word per AP row) gets a first/last-use
     interval and a slot in a preallocated scratch arena, assigned by linear
     scan so fields with disjoint live ranges share storage.  The peak slot
@@ -490,77 +499,49 @@ def plan_passes(
 
 
 # --------------------------------------------------------------------------- #
-# The compiled plan                                                            #
+# The lowered program (one per width class) and the per-length plan view       #
 # --------------------------------------------------------------------------- #
-class ExecutionPlan:
-    """The SoftmAP dataflow lowered for one (precision, sequence) shape.
+def width_class(sequence_length: int, output_fraction_bits: int) -> Tuple[int, int]:
+    """The key of the lowered program a sequence length runs.
 
-    Instances are immutable after construction and shared freely: the
-    cluster keeps **one** plan per runtime sequence length regardless of
-    head count.  Construction *is* compilation — constants, field layout,
-    lowered program and per-step analytical costs are all resolved here.
+    The Fig. 5 dataflow is the same sixteen steps for every sequence length;
+    only the reduction field widens, by ``bits_for_unsigned(N - 1)``
+    (Table I/II's ``log2 N`` sum bits).  Lengths that agree on that width
+    and on the output fraction share one :class:`LoweredProgram`.
+    """
+    return output_fraction_bits, bits_for_unsigned(sequence_length - 1)
 
-    Parameters mirror :class:`~repro.mapping.softmap.SoftmAPMapping` (which
-    caches plans per runtime shape); ``output_fraction_bits`` defaults to
-    the ``2M + 12`` result-column width.
+
+class LoweredProgram:
+    """The length-independent half of a plan, lowered once per width class.
+
+    Holds everything that does not depend on the segment length: quantizer
+    constants, the resolved field layout, the lowered instruction sequence
+    (:class:`PlanOp`), the buffer-liveness result and the
+    :class:`~repro.ap.compiled.CompiledEngine` with its arena pool.  Every
+    :class:`ExecutionPlan` whose sequence length falls in the program's
+    :func:`width_class` can run it; the segment length is bound at run time.
     """
 
     def __init__(
         self,
-        precision: PrecisionConfig = BEST_PRECISION,
-        sequence_length: int = 2048,
-        words_per_row: int = 2,
-        columns: int = 64,
-        tech: TechnologyParameters = TECH_16NM,
-        division: str = "restoring",
-        clip_threshold: Optional[float] = None,
-        engine: str = DEFAULT_ENGINE,
-        output_fraction_bits: Optional[int] = None,
+        precision: PrecisionConfig,
+        clip_threshold: Optional[float],
+        output_fraction_bits: int,
+        index_bits: int,
     ) -> None:
         self.precision = precision
-        self.sequence_length = check_positive_int(sequence_length, "sequence_length")
-        self.words_per_row = check_positive_int(words_per_row, "words_per_row")
-        self.division = division
-        self.engine = canonical_engine_name(engine)
+        self.clip_threshold = clip_threshold
+        self.width_class = (output_fraction_bits, index_bits)
         self.quantizer = ClippedSoftmaxInputQuantizer(
             bits=precision.input_bits, clip_threshold=clip_threshold
         )
         self.polynomial = IExpPolynomial(
             input_bits=precision.input_bits, barrett_correction=False
         )
-        self.constants = self.polynomial.constants(self.quantizer.scale)
-        if output_fraction_bits is None:
-            output_fraction_bits = precision.result_column_bits
-        self.output_fraction_bits = check_positive_int(
-            output_fraction_bits, "output_fraction_bits"
-        )
+        self.constants = constants = self.polynomial.constants(self.quantizer.scale)
 
-        # ---- analytical view: the 16 costed dataflow steps ---------------- #
-        # Ceil division: an odd sequence length still occupies a final,
-        # partly filled row (floor division would silently drop its word).
-        self.rows = -(-self.sequence_length // self.words_per_row)
-        self.cost_columns = check_positive_int(columns, "columns")
-        self.cost_model = ApCostModel(
-            rows=self.rows, columns=self.cost_columns, tech=tech
-        )
-        self.dataflow_steps: Tuple[DataflowStep, ...] = tuple(
-            softmax_dataflow(precision, self.sequence_length, vln2=self.constants.vln2)
-        )
-        step_costs: List[StepCost] = []
-        for step in self.dataflow_steps:
-            cost = _analytic_step_cost(
-                step, self.cost_model, self.words_per_row, self.division, precision
-            )
-            if step.elementwise and self.words_per_row > 1:
-                cost = cost.scaled(self.words_per_row, name=cost.name)
-            step_costs.append(StepCost(step=step, cost=cost))
-        self.step_costs: Tuple[StepCost, ...] = tuple(step_costs)
-        self._cost: Optional[MappingCost] = None
-
-        # ---- functional view: resolved layout + lowered program ----------- #
-        constants = self.constants
         m = precision.input_bits
-        n = self.sequence_length
         shift_bits = max(
             1, bits_for_unsigned(max_shift_amount(precision, constants.vln2))
         )
@@ -571,8 +552,8 @@ class ExecutionPlan:
         vc_bits = max(1, bits_for_unsigned(constants.vc))
         poly_bits = 2 * (vb_bits + 1) + max(vc_bits - 2 * vb_bits, 0) + 2
         vapprox_bits = poly_bits
-        sum_bits = vapprox_bits + max(1, bits_for_unsigned(max(n - 1, 1)))
-        out_bits = vapprox_bits + self.output_fraction_bits
+        sum_bits = vapprox_bits + index_bits
+        out_bits = vapprox_bits + output_fraction_bits
         vln2_bits = max(4, bits_for_unsigned(constants.vln2))
         stages = min(shift_bits, q_bits)
 
@@ -608,7 +589,7 @@ class ExecutionPlan:
             PlanField("out", out_bits),
             PlanField("rem", sum_bits + 1),
         )
-        self._bits: Dict[str, int] = {f.name: f.bits for f in self.fields}
+        self.bits: Dict[str, int] = {f.name: f.bits for f in self.fields}
         self.program: Tuple[PlanOp, ...] = (
             # Step 1: write v (as z = max(v) - v); step 2 is folded into z
             # because the functional mapping tracks the magnitude.
@@ -642,7 +623,7 @@ class ExecutionPlan:
             PlanOp("reduce_broadcast", a="vapprox", dest="sum", step=14),
             # Step 16: divide (fixed point with output_fraction_bits).
             PlanOp("divide", a="vapprox", b="sum", dest="out", remainder="rem",
-                   fraction_bits=self.output_fraction_bits, step=16),
+                   fraction_bits=output_fraction_bits, step=16),
         )
         #: Whether every field fits the packed-word representation; when it
         #: does not (exotic custom widths), compiled execution falls back
@@ -654,6 +635,122 @@ class ExecutionPlan:
         # Built on the first compiled execution.  A rare double
         # construction under concurrent passes just discards one instance.
         self._compiled: Optional[CompiledEngine] = None
+
+    @property
+    def compiled_engine(self) -> CompiledEngine:
+        """The program's (cached) compiled executor and its arena pool."""
+        if self._compiled is None:
+            self._compiled = CompiledEngine(self)
+        return self._compiled
+
+    @property
+    def arena_bytes(self) -> int:
+        """Scratch-arena bytes the compiled executor holds (0 before the
+        first compiled execution)."""
+        return 0 if self._compiled is None else self._compiled.arena_bytes
+
+
+class ExecutionPlan:
+    """The SoftmAP dataflow for one (precision, sequence-length) shape.
+
+    A plan is a cheap per-length view over a :class:`LoweredProgram`: it
+    holds the sequence length, its AP row count and input validation, and
+    derives the per-length Table II step costs on the first :meth:`cost`.
+    The program itself — field layout, lowered instructions, compiled
+    engine and arena pool — is shared by every length of its
+    :func:`width_class`.  :class:`~repro.mapping.softmap.SoftmAPMapping`
+    owns that sharing: it passes each plan its class's program through
+    ``lowered``.  A standalone plan (``lowered=None``) lowers a private
+    program of its own.
+
+    Parameters mirror :class:`~repro.mapping.softmap.SoftmAPMapping` (which
+    caches plans per runtime shape); ``output_fraction_bits`` defaults to
+    the ``2M + 12`` result-column width.
+    """
+
+    def __init__(
+        self,
+        precision: PrecisionConfig = BEST_PRECISION,
+        sequence_length: int = 2048,
+        words_per_row: int = 2,
+        columns: int = 64,
+        tech: TechnologyParameters = TECH_16NM,
+        division: str = "restoring",
+        clip_threshold: Optional[float] = None,
+        engine: str = DEFAULT_ENGINE,
+        output_fraction_bits: Optional[int] = None,
+        *,
+        lowered: Optional[LoweredProgram] = None,
+    ) -> None:
+        self.precision = precision
+        self.sequence_length = check_positive_int(sequence_length, "sequence_length")
+        self.words_per_row = check_positive_int(words_per_row, "words_per_row")
+        self.cost_columns = check_positive_int(columns, "columns")
+        self.tech = tech
+        self.division = division
+        self.engine = canonical_engine_name(engine)
+        if output_fraction_bits is None:
+            output_fraction_bits = precision.result_column_bits
+        self.output_fraction_bits = check_positive_int(
+            output_fraction_bits, "output_fraction_bits"
+        )
+        key = width_class(self.sequence_length, self.output_fraction_bits)
+        if lowered is None:
+            lowered = LoweredProgram(precision, clip_threshold, *key)
+        elif (
+            lowered.width_class != key
+            or lowered.precision != precision
+            or lowered.clip_threshold != clip_threshold
+        ):
+            raise ValueError(
+                f"lowered program of width class {lowered.width_class} cannot "
+                f"run sequence length {self.sequence_length} (class {key})"
+            )
+        self.lowered = lowered
+        self.quantizer = lowered.quantizer
+        self.polynomial = lowered.polynomial
+        self.constants = lowered.constants
+        self.fields = lowered.fields
+        self.program = lowered.program
+        self.buffers = lowered.buffers
+        self.columns_needed = lowered.columns_needed
+        self.packable = lowered.packable
+        # Ceil division: an odd sequence length still occupies a final,
+        # partly filled row (floor division would silently drop its word).
+        self.rows = -(-self.sequence_length // self.words_per_row)
+        self._cost: Optional[MappingCost] = None
+
+    # ------------------------------------------------------------------ #
+    # Per-length analytical view: the 16 costed dataflow steps, derived   #
+    # on first use                                                         #
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def cost_model(self) -> ApCostModel:
+        """The technology cost model of this length's per-head AP."""
+        return ApCostModel(rows=self.rows, columns=self.cost_columns, tech=self.tech)
+
+    @cached_property
+    def dataflow_steps(self) -> Tuple[DataflowStep, ...]:
+        """The sixteen Fig. 5 dataflow steps at this sequence length."""
+        return tuple(
+            softmax_dataflow(
+                self.precision, self.sequence_length, vln2=self.constants.vln2
+            )
+        )
+
+    @cached_property
+    def step_costs(self) -> Tuple[StepCost, ...]:
+        """Table II / technology cost of every dataflow step."""
+        step_costs: List[StepCost] = []
+        for step in self.dataflow_steps:
+            cost = _analytic_step_cost(
+                step, self.cost_model, self.words_per_row, self.division,
+                self.precision,
+            )
+            if step.elementwise and self.words_per_row > 1:
+                cost = cost.scaled(self.words_per_row, name=cost.name)
+            step_costs.append(StepCost(step=step, cost=cost))
+        return tuple(step_costs)
 
     # ------------------------------------------------------------------ #
     # Analytical cost                                                      #
@@ -698,15 +795,15 @@ class ExecutionPlan:
         """
         engine = canonical_engine_name(engine) if engine is not None else self.engine
         faults.fire(f"engine:{engine}")
-        z, pad_mask, batch = self._prepare(scores, valid_lengths)
+        z, pad_mask = self._prepare(scores, valid_lengths)
         if self.fused(engine):
-            out = self.compiled_engine.run(z, pad_mask, batch)
+            out = self.compiled_engine.run(z, pad_mask)
         else:
             # The plan-only engine cannot serve per-operation CAM sweeps; a
             # non-packable layout falls back to the packed-word AP engine.
             if not engine_info(engine).supports_processor:
                 engine = "vectorized"
-            out = self._run_ap(z, pad_mask, batch, engine)
+            out = self._run_ap(z, pad_mask, engine)
         return out * (2.0 ** -self.output_fraction_bits)
 
     def fused(self, engine: Optional[str] = None) -> bool:
@@ -716,28 +813,26 @@ class ExecutionPlan:
 
     @property
     def compiled_engine(self) -> CompiledEngine:
-        """The plan's (cached) compiled executor and its scratch-arena pool."""
-        if self._compiled is None:
-            self._compiled = CompiledEngine(self)
-        return self._compiled
+        """The compiled executor of the plan's lowered program (shared by
+        every length of its width class) and its scratch-arena pool."""
+        return self.lowered.compiled_engine
 
     def arena_bytes(self, engine: Optional[str] = None) -> int:
         """Scratch-arena bytes ``engine``'s execution of this plan holds.
 
         0 for engines that interpret on the functional AP and before the
-        first compiled execution.
+        first compiled execution of the plan's program.
         """
-        if self._compiled is None or not self.fused(engine):
-            return 0
-        return self._compiled.arena_bytes
+        return self.lowered.arena_bytes if self.fused(engine) else 0
 
     # ------------------------------------------------------------------ #
     # Internals                                                            #
     # ------------------------------------------------------------------ #
     def _prepare(
         self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Validate, causally mask and quantize one score tensor."""
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Validate, causally mask and quantize one score tensor into the
+        ``(vectors, segment_length)`` program input ``z``."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError("the plan executes a (batch, seq) score tensor")
@@ -766,18 +861,19 @@ class ExecutionPlan:
                 # used for stabilisation.
                 scores = np.where(pad_mask, -np.inf, scores)
         quantized = self.quantizer.quantize(scores, stabilise=True)
-        z = (-quantized.values).astype(np.int64).ravel()  # z = -vstable >= 0
-        return z, pad_mask, scores.shape[0]
+        z = (-quantized.values).astype(np.int64)  # z = -vstable >= 0
+        return z, pad_mask
 
     def _run_ap(
         self,
         z: np.ndarray,
         pad_mask: Optional[np.ndarray],
-        batch: int,
         engine: str,
     ) -> np.ndarray:
         """Interpret the program on one wide functional 2D AP."""
-        n = self.sequence_length
+        batch, n = z.shape
+        if batch == 0:  # an AP needs at least one row
+            return np.zeros((0, n))
         ap = AssociativeProcessor2D(
             rows=batch * n, columns=self.columns_needed, backend=engine
         )
@@ -787,7 +883,7 @@ class ExecutionPlan:
         }
         for op in self.program:
             if op.op == "write_input":
-                ap.write_field(fields[op.dest], z)
+                ap.write_field(fields[op.dest], z.ravel())
             elif op.op == "write_const":
                 ap.write_constant(fields[op.dest], op.value)
             elif op.op == "multiply":

@@ -3,10 +3,13 @@
 :class:`SoftmAPMapping` is the heart of the co-design reproduction.  Since
 the compiled-plan layer landed it is a thin, cached front over
 :class:`~repro.mapping.plan.ExecutionPlan`: the Fig. 5 dataflow is lowered
-**once** per (precision, sequence-length, output-width) shape — resolved
-field layout, lowered instruction sequence, per-step Table II cost — and
-every call executes the compiled program instead of re-interpreting the
-sixteen steps:
+**once** per width class — the resolved field layout, lowered instruction
+sequence and compiled engine of a
+:class:`~repro.mapping.plan.LoweredProgram`, shared by every sequence
+length whose sum field has the same ``log2 N`` width — and each sequence
+length gets a cheap plan view that derives its per-step Table II cost on
+first use.  Every call executes the compiled program instead of
+re-interpreting the sixteen steps:
 
 * :meth:`SoftmAPMapping.cost` — the analytical view used for the paper's
   hardware characterization: the plan's per-step Table II cycles plus the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +42,11 @@ from repro.ap.tech import TECH_16NM, TechnologyParameters
 from repro.mapping.dataflow import DataflowStep
 from repro.mapping.plan import (
     ExecutionPlan,
+    LoweredProgram,
     MappingCost,
     StepCost,
     multiplication_cycles_general,
+    width_class,
 )
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.utils.validation import check_in_choices, check_positive_int
@@ -87,13 +92,14 @@ class SoftmAPMapping:
         per call on :meth:`execute_functional` /
         :meth:`execute_functional_batch`.
     plan_cache_size:
-        Bound on the per-shape compiled-plan cache (see :meth:`plan`),
+        Bound on the per-shape plan-view cache (see :meth:`plan`),
         counting the always-pinned provisioned-shape plan.  An
         autoregressive decode sweeps one runtime shape per generated token,
-        so an unbounded cache would retain one lowered plan per distinct
-        sequence length for the mapping's whole lifetime; the least
-        recently used shape is evicted (and transparently recompiled on
-        the next request) instead.
+        so an unbounded cache would retain one plan view (and its
+        per-length cost) per distinct sequence length for the mapping's
+        whole lifetime; the least recently used shape is evicted instead.
+        An evicted shape's view is rebuilt cheaply on the next request: it
+        reuses its width class's lowered program, which stays cached.
     """
 
     #: Realisations of the final normalisation step (see ``division`` above).
@@ -104,7 +110,8 @@ class SoftmAPMapping:
 
     #: Default :meth:`plan` cache bound — comfortably above the handful of
     #: shapes a prefill workload touches, while keeping a 1..T decode
-    #: length sweep from retaining one compiled plan per length forever.
+    #: length sweep from retaining one plan view per length forever.  The
+    #: lowered programs are not counted: there is one per width class.
     DEFAULT_PLAN_CACHE_SIZE = 32
 
     def __init__(
@@ -133,15 +140,18 @@ class SoftmAPMapping:
         self.clip_threshold = clip_threshold
         self.plan_cache_size = check_positive_int(plan_cache_size, "plan_cache_size")
         self._plans: "OrderedDict[Tuple[int, int], ExecutionPlan]" = OrderedDict()
-        # The LRU bookkeeping (move_to_end / eviction) mutates shared state,
-        # so concurrent planner passes serialise on this lock; plan
-        # compilation itself stays outside any hot path.
+        # One lowered program per width class (see plan.width_class): at
+        # most one per sum width per output width, so it needs no bound.
+        self._programs: Dict[Tuple[int, int], LoweredProgram] = {}
+        # The LRU bookkeeping (move_to_end / eviction) and the program table
+        # mutate shared state, so concurrent planner passes serialise on
+        # this lock; lowering itself stays outside any hot path.
         self._plan_lock = threading.Lock()
         self._provisioned_key = (
             self.sequence_length,
             self.precision.result_column_bits,
         )
-        # The provisioned-shape plan: compiling it here keeps construction
+        # The provisioned-shape plan: planning it here keeps construction
         # errors (invalid precision/threshold combinations) eager and
         # preserves the historical attribute surface.
         provisioned = self.plan()
@@ -159,15 +169,21 @@ class SoftmAPMapping:
         sequence_length: Optional[int] = None,
         output_fraction_bits: Optional[int] = None,
     ) -> ExecutionPlan:
-        """The compiled :class:`~repro.mapping.plan.ExecutionPlan`.
+        """The :class:`~repro.mapping.plan.ExecutionPlan` of one shape.
 
-        Plans are cached per ``(sequence_length, output_fraction_bits)``
-        shape, so repeated execution (every head, every layer, every pass)
-        lowers the dataflow exactly once.  The cache is an LRU bounded by
-        ``plan_cache_size``: a workload that sweeps runtime shapes — an
-        autoregressive decode compiles one shape per generated token —
-        evicts its least recently used shapes instead of retaining every
-        plan it ever lowered.  The provisioned shape (the one compiled at
+        The dataflow is lowered once per width class
+        (:func:`~repro.mapping.plan.width_class`): every sequence length
+        whose sum field has the same width shares one
+        :class:`~repro.mapping.plan.LoweredProgram` and its compiled
+        engine, so a decode that grows the sequence one token at a time
+        compiles nothing new until the length passes a power of two.
+
+        The per-length plan views are cached per ``(sequence_length,
+        output_fraction_bits)`` shape in an LRU bounded by
+        ``plan_cache_size``: a workload that sweeps runtime shapes evicts
+        its least recently used views instead of retaining one per length
+        it ever saw, and an evicted view is rebuilt over its class's
+        cached program.  The provisioned shape (the one planned at
         construction and exposed through ``rows``/``cost_model``/...) is
         pinned and never evicted.
         """
@@ -181,6 +197,17 @@ class SoftmAPMapping:
             if plan is not None:
                 self._plans.move_to_end(key)
                 return plan
+        width = width_class(
+            check_positive_int(sequence_length, "sequence_length"),
+            check_positive_int(output_fraction_bits, "output_fraction_bits"),
+        )
+        lowered = self._programs.get(width)
+        if lowered is None:
+            lowered = LoweredProgram(self.precision, self.clip_threshold, *width)
+            with self._plan_lock:
+                # Keep the first of two concurrent lowerings (its engine
+                # may already hold arena state).
+                lowered = self._programs.setdefault(width, lowered)
         plan = ExecutionPlan(
             precision=self.precision,
             sequence_length=sequence_length,
@@ -191,10 +218,11 @@ class SoftmAPMapping:
             clip_threshold=self.clip_threshold,
             engine=self.backend,
             output_fraction_bits=output_fraction_bits,
+            lowered=lowered,
         )
         with self._plan_lock:
-            # Two threads may have compiled the same shape concurrently;
-            # keep the first (its executors may already hold arena state).
+            # Two threads may have planned the same shape concurrently;
+            # keep the first.
             plan = self._plans.setdefault(key, plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self.plan_cache_size:
@@ -216,9 +244,9 @@ class SoftmAPMapping:
     def cost(self) -> MappingCost:
         """Cost every step with the Table II / technology model.
 
-        The per-step dispatch lives in the plan's compilation
-        (:func:`~repro.mapping.plan._analytic_step_cost`); this method just
-        reads the compiled result.
+        The per-step dispatch lives in the plan view
+        (:func:`~repro.mapping.plan._analytic_step_cost`, run on the view's
+        first costing); this method just reads the result.
         """
         return self.plan().cost()
 

@@ -623,7 +623,9 @@ class ApClusterBackend(_BackendBase):
     def _cluster_cost(self, sequence_length: int):
         """Per-length :class:`~repro.mapping.cluster.ClusterCost` at batch 1,
         cached — the model calls run() once per layer with the same length,
-        and recosting rebuilds a SoftmAPMapping each time."""
+        and a decode sweep evicts that length's plan view from the mapping's
+        LRU, whose rebuilt view would derive the Table II step costs
+        again."""
         if sequence_length not in self._cost_cache:
             self._cost_cache[sequence_length] = self.cluster.cost(
                 sequence_length=sequence_length, batch=1

@@ -13,6 +13,7 @@ Three layers under test, matching the refactor's split:
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from repro.ap.engine import (
     processor_engine_names,
     register_engine,
 )
-from repro.mapping.plan import ExecutionPlan, plan_buffers
+from repro.ap.processor2d import AssociativeProcessor2D
+from repro.mapping.plan import ExecutionPlan, PlanField, PlanOp, plan_buffers
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 
@@ -182,6 +184,70 @@ class TestCompiledParity:
             plan.execute(scores, engine="compiled"),
             plan.execute(scores, engine="vectorized"),
         )
+
+
+class TestBarrelShiftWideAmounts:
+    """The compiled barrel shifter against both AP engines where a stage
+    offset reaches 64 (``stages >= 7``) and the composed shift amount
+    runs past the word — cases the softmax program's 4-stage shift never
+    reaches."""
+
+    VALUE_BITS = 48  # exact through the engine's float64 output
+    AMOUNT_BITS = 8
+
+    def _program(self, stages):
+        fields = (
+            PlanField("a", self.VALUE_BITS),
+            PlanField("amt", self.AMOUNT_BITS),
+            PlanField("out", self.VALUE_BITS),
+        )
+        program = (
+            PlanOp("write_input", dest="a"),
+            PlanOp("copy", a="a", dest="amt"),  # amt <- low byte of a
+            PlanOp("shift_right", a="a", b="amt", dest="out", stages=stages),
+        )
+        return fields, program
+
+    def _values(self, rng):
+        # Every amount 0..255 in the low byte, random bits above it.
+        high = rng.integers(0, 1 << (self.VALUE_BITS - 8), size=256)
+        return (high << 8) | np.arange(256)
+
+    def _compiled(self, stages, values):
+        fields, program = self._program(stages)
+        lowered = SimpleNamespace(
+            program=program,
+            bits={f.name: f.bits for f in fields},
+            buffers=plan_buffers(program, fields),
+        )
+        out = CompiledEngine(lowered).run(values[None, :], None)[0]
+        return out.astype(np.int64)
+
+    def _on_ap(self, stages, values, engine):
+        fields, _ = self._program(stages)
+        ap = AssociativeProcessor2D(
+            rows=values.size,
+            columns=sum(f.bits for f in fields) + 8,
+            backend=engine,
+        )
+        a, amt, out = (ap.allocate_field(f.name, f.bits) for f in fields)
+        ap.write_field(a, values)
+        ap.copy(a, amt)
+        ap.shift_right_variable(a, amt, out, max_shift_bits=stages)
+        return ap.read_field(out)
+
+    @pytest.mark.parametrize("stages", [7, 8])
+    def test_compiled_equals_both_ap_engines(self, stages, rng):
+        values = self._values(rng)
+        amounts = values & ((1 << stages) - 1)
+        assert amounts.max() >= 64  # the >= 64 edge is exercised
+        expected = np.where(
+            amounts < self.VALUE_BITS, values >> np.minimum(amounts, 63), 0
+        )
+        compiled = self._compiled(stages, values)
+        assert np.array_equal(compiled, expected)
+        assert np.array_equal(compiled, self._on_ap(stages, values, "vectorized"))
+        assert np.array_equal(compiled, self._on_ap(stages, values, "reference"))
 
 
 class TestCompiledEngineRuntime:

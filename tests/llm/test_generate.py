@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ap.compiled import CompiledEngine
 from repro.llm.config import LlamaConfig
 from repro.llm.dataset import make_corpus
 from repro.llm.generate import KVCache, _sample_next_tokens
 from repro.llm.model import TinyLlamaModel
 from repro.llm.trainer import Trainer
+from repro.mapping.plan import ExecutionPlan, width_class
 from repro.quant.precision import PrecisionConfig
 from repro.runtime.backend import resolve_backend
 from repro.experiments.table3_4_perplexity import PRECISION_SWEEP_BACKENDS
@@ -100,6 +102,48 @@ class TestGreedyParity:
             model.generate(prompts, 5, use_cache=True),
             model.generate(prompts, 5, use_cache=False),
         )
+
+
+class TestDecodeLowering:
+    def test_decode_compiles_once_per_width_class(self, monkeypatch):
+        """Regression: decode used to lower and compile one plan per
+        generated length.  A ragged 64-token decode on ap-cluster builds at
+        most one compiled engine per sum-width class, and repeating it
+        builds none."""
+        config = LlamaConfig("tiny-decode", 1, 2, 2, 16, 32, 32, 128)
+        model = TinyLlamaModel(config, seed=0)
+        prompts = np.random.default_rng(0).integers(0, 32, size=(2, 30))
+        lengths = np.array([21, 30])
+        backend = resolve_backend(
+            "ap-cluster", num_heads=2, sequence_length=config.max_context
+        )
+        compiles = []
+        classes = set()
+        engine_init = CompiledEngine.__init__
+        plan_execute = ExecutionPlan.execute
+
+        def counting_init(self, lowered):
+            compiles.append(lowered.width_class)
+            engine_init(self, lowered)
+
+        def recording_execute(self, scores, *args, **kwargs):
+            classes.add(
+                width_class(np.shape(scores)[1], self.output_fraction_bits)
+            )
+            return plan_execute(self, scores, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledEngine, "__init__", counting_init)
+        monkeypatch.setattr(ExecutionPlan, "execute", recording_execute)
+        first = model.generate(prompts, 64, valid_lengths=lengths,
+                               backend=backend)
+        assert len(classes) >= 2  # the sweep crosses a class boundary
+        assert len(compiles) <= len(classes)
+        assert len(set(compiles)) == len(compiles)
+        compiles.clear()
+        second = model.generate(prompts, 64, valid_lengths=lengths,
+                                backend=backend)
+        assert compiles == []
+        assert np.array_equal(first, second)
 
 
 class TestBackendParity:

@@ -20,7 +20,12 @@ from repro.llm.config import LLAMA2_7B
 from repro.llm.perplexity import ap_cluster_softmax_fn
 from repro.mapping.cluster import ApCluster
 from repro.mapping.deployment import ApDeployment
-from repro.mapping.plan import ExecutionPlan, WorkloadPass, plan_passes
+from repro.mapping.plan import (
+    ExecutionPlan,
+    WorkloadPass,
+    plan_passes,
+    width_class,
+)
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION
 from repro.runtime.backend import BackendSpec, resolve_backend
@@ -120,6 +125,83 @@ class TestCompilation:
             plan.execute(np.zeros(8))  # 1-D
         with pytest.raises(ValueError):
             plan.execute(np.zeros((2, 9)))  # compiled for seq=8
+
+
+class TestWidthClassSharing:
+    """One lowered program per sum-width class, shared by every length."""
+
+    def test_lengths_in_one_class_share_the_compiled_engine(self):
+        mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=256)
+        engines = {
+            n: mapping.plan(sequence_length=n).compiled_engine
+            for n in (64, 65, 97, 128, 129)
+        }
+        assert engines[65] is engines[97] is engines[128]
+        assert engines[64] is not engines[65]  # 7 sum-index bits from 65
+        assert engines[128] is not engines[129]  # 8 from 129
+        assert len(mapping._programs) == 3
+
+    def test_width_class_is_the_sum_index_width(self):
+        ofb = BEST_PRECISION.result_column_bits
+        assert width_class(1, ofb) == width_class(2, ofb) == (ofb, 1)
+        assert width_class(64, ofb) == (ofb, 6)
+        assert width_class(65, ofb) == width_class(128, ofb) == (ofb, 7)
+        assert width_class(129, ofb) == (ofb, 8)
+        # The output width is part of the class.
+        mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=16)
+        assert (
+            mapping.plan(sequence_length=8, output_fraction_bits=10).compiled_engine
+            is not mapping.plan(sequence_length=8).compiled_engine
+        )
+
+    @pytest.mark.parametrize(
+        "engine, lengths",
+        [("compiled", (65, 128, 97, 65, 100)), ("reference", (5, 8, 7, 5))],
+    )
+    def test_interleaved_lengths_match_standalone_plans(
+        self, engine, lengths, rng
+    ):
+        """Lengths of one class take turns on the shared program (and its
+        arena); each result equals a fresh standalone plan's, with ragged
+        valid_lengths and an empty batch in the mix."""
+        mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=128)
+        for index, n in enumerate(lengths):
+            batch = 3 if engine == "compiled" else 2
+            scores = rng.normal(0.0, 2.0, size=(batch, n))
+            valid = rng.integers(1, n + 1, size=batch) if index % 2 else None
+            shared = mapping.plan(sequence_length=n).execute(
+                scores, valid_lengths=valid, engine=engine
+            )
+            alone = ExecutionPlan(sequence_length=n).execute(
+                scores, valid_lengths=valid, engine=engine
+            )
+            assert np.array_equal(shared, alone), n
+            empty = mapping.plan(sequence_length=n).execute(
+                np.zeros((0, n)), engine=engine
+            )
+            assert empty.shape == (0, n)
+        assert len(mapping._programs) <= 2  # the 128 provisioned + one class
+
+    def test_each_view_costs_like_a_standalone_plan(self):
+        mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=128)
+        for n in (65, 97, 128, 7):
+            view = mapping.plan(sequence_length=n).cost()
+            alone = ExecutionPlan(sequence_length=n).cost()
+            assert view == alone, n
+            assert view.rows == -(-n // 2)
+
+    def test_mismatched_lowered_program_is_rejected(self):
+        mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=128)
+        lowered = mapping.plan(sequence_length=100).lowered
+        assert ExecutionPlan(sequence_length=70, lowered=lowered).fields is (
+            lowered.fields
+        )
+        with pytest.raises(ValueError, match="width class"):
+            ExecutionPlan(sequence_length=64, lowered=lowered)
+        with pytest.raises(ValueError, match="width class"):
+            ExecutionPlan(
+                sequence_length=100, output_fraction_bits=9, lowered=lowered
+            )
 
 
 class TestPlanner:

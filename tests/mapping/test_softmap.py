@@ -82,6 +82,9 @@ class TestPlanCache:
         for length in range(2, 49):
             mapping.plan(sequence_length=length)
         assert len(mapping._plans) <= 8
+        # Lowered programs are kept per sum-width class, not per length:
+        # 2..48 spans the 1- to 6-bit classes.
+        assert len(mapping._programs) == 6
         # The provisioned shape is pinned: still cached, still the object
         # the construction-time attributes were read from.
         provisioned = mapping.plan()
@@ -99,15 +102,21 @@ class TestPlanCache:
         assert mapping.plan(sequence_length=8) is hot
 
     def test_eviction_recompiles_transparently(self):
+        """An evicted length's view is rebuilt, over its width class's
+        still-cached lowered program: nothing is compiled again."""
         mapping = SoftmAPMapping(
             BEST_PRECISION, sequence_length=16, plan_cache_size=2
         )
         first = mapping.plan(sequence_length=4)
+        engine = first.compiled_engine
         for length in range(5, 10):
             mapping.plan(sequence_length=length)  # evicts length 4
         recompiled = mapping.plan(sequence_length=4)
         assert recompiled is not first
         assert recompiled.rows == first.rows
+        assert recompiled.program is first.program
+        assert recompiled.compiled_engine is engine
+        assert recompiled.cost() == first.cost()
 
     def test_repeated_plan_calls_cache(self):
         mapping = SoftmAPMapping(BEST_PRECISION, sequence_length=16)

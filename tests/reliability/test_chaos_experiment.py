@@ -17,6 +17,7 @@ FAST = {
     "num_requests": 32,
     "sequence_lengths": (8, 16),
     "max_wait_ms": 1.0,
+    "max_batch_rows": 1,  # one request per tick: replayable tick formation
 }
 
 
@@ -61,6 +62,10 @@ class TestChaosLoadExperiment:
         assert list(restored[0].transitions) == list(rows[0].transitions)
 
     def test_same_seeds_replay_the_same_outage(self, fast_run):
+        """With one request per tick, tick formation no longer depends on
+        arrival timing, so the seeds fix the fault count (tick-latency
+        stalls included), the breaker transitions, the retry count and
+        availability."""
         _, rows = fast_run
         replay = run_chaos_load(**FAST)[0]
         report = rows[0]
