@@ -127,28 +127,28 @@ def run_generate_speed(
     model = TinyLlamaModel(config, seed=seed)
     rng = np.random.default_rng(seed)
     prompts = rng.integers(0, vocab_size, size=(batch, prompt_length))
-    softmax_fn = (
+    backend = (
         None
         if canonical == "float"
         else resolve_model_backend(
             BackendSpec(name=canonical, engine=engine),
             config.num_heads,
             config.max_context,
-        ).softmax_fn()
+        )
     )
     # Warm the shape-dependent caches (stacked weights, masks, positions)
     # so neither timed window pays first-touch construction.
-    model.infer(prompts[:1], softmax_fn=softmax_fn)
+    model.infer(prompts[:1], backend=backend)
 
     start = time.perf_counter()
     cached = model.generate(
-        prompts, max_new_tokens, softmax_fn=softmax_fn,
+        prompts, max_new_tokens, backend=backend,
         temperature=temperature, top_k=top_k, seed=seed, use_cache=True,
     )
     cached_seconds = time.perf_counter() - start
     start = time.perf_counter()
     baseline = model.generate(
-        prompts, max_new_tokens, softmax_fn=softmax_fn,
+        prompts, max_new_tokens, backend=backend,
         temperature=temperature, top_k=top_k, seed=seed, use_cache=False,
     )
     prefill_seconds = time.perf_counter() - start

@@ -38,14 +38,21 @@ import numpy as np
 from repro.ap.engine import canonical_engine_name
 from repro.llm.config import LlamaConfig
 from repro.llm.dataset import SyntheticCorpus, make_corpus
-from repro.llm.model import SoftmaxFn, TinyLlamaModel
+from repro.llm.model import TinyLlamaModel
 from repro.llm.perplexity import INFERENCE_PATHS, evaluate_perplexity
 from repro.llm.trainer import Trainer
 from repro.mapping.cluster import ApCluster
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.reliability import faults
 from repro.reliability.faults import FaultInjector
-from repro.runtime.backend import canonical_backend_name, resolve_backend
+from repro.runtime.backend import (
+    BackendSpec,
+    IntegerBackend,
+    SoftmaxBackend,
+    SoftmaxResult,
+    canonical_backend_name,
+    resolve_backend,
+)
 from repro.runtime.registry import Experiment, register
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.metrics import kl_divergence
@@ -74,16 +81,7 @@ __all__ = [
     "PERPLEXITY_M_VALUES",
     "PERPLEXITY_N_VALUES",
     "PRECISION_SWEEP_BACKENDS",
-    "SOFTMAX_BACKENDS",
 ]
-
-#: Legacy names of the perplexity sweep's attention-softmax execution paths
-#: (kept for backwards compatibility; ``softmax_backend`` now accepts any
-#: *precision-consuming* runtime backend name or alias, resolved through
-#: :func:`repro.runtime.backend.resolve_backend`):
-#: ``"software"`` / ``"software-batched"`` — the integer pipeline in numpy;
-#: ``"ap-cluster"`` — the functional multi-AP cluster.
-SOFTMAX_BACKENDS: Tuple[str, ...] = ("software", "software-batched", "ap-cluster")
 
 #: Canonical backends the precision sweep accepts.  ``float`` and
 #: ``gpu-analytical`` ignore the per-point :class:`PrecisionConfig`, so a
@@ -150,29 +148,28 @@ def train_reference_model(
     return model, corpus
 
 
-def _sweep_softmax_fn(
+def _sweep_backend(
     config: PrecisionConfig,
     softmax_backend: str,
     num_heads: int,
     segment_length: int,
     engine: Optional[str] = None,
-) -> SoftmaxFn:
-    """The attention-softmax callable for one sweep configuration.
+) -> SoftmaxBackend:
+    """The attention-softmax backend for one sweep configuration.
 
     Resolution goes through the unified runtime API, so any registered
-    backend name (or legacy alias) works here and a typo fails eagerly
-    with a "did you mean" suggestion.  ``engine`` selects the functional
-    AP engine for the AP-family backends (any engine-registry name, e.g.
-    ``"compiled"``); the pure-software backends ignore it.
+    backend name works here and a typo fails eagerly with a "did you
+    mean" suggestion.  ``engine`` selects the functional AP engine for the
+    AP-family backends (any engine-registry name, e.g. ``"compiled"``);
+    the pure-software backends ignore it.
     """
-    backend = resolve_backend(
+    return resolve_backend(
         softmax_backend,
         precision=config,
         num_heads=num_heads,
         sequence_length=segment_length,
         engine=engine,
     )
-    return backend.softmax_fn()
 
 
 def _sweep_point(
@@ -186,12 +183,12 @@ def _sweep_point(
     engine: Optional[str] = None,
 ) -> PerplexityPoint:
     """Evaluate one precision configuration, with wall-clock telemetry."""
-    softmax_fn = _sweep_softmax_fn(
+    backend = _sweep_backend(
         precision, softmax_backend, model.config.num_heads, segment, engine
     )
     start = time.perf_counter()
     perplexity = evaluate_perplexity(
-        model, tokens, segment, softmax_fn=softmax_fn,
+        model, tokens, segment, backend=backend,
         inference_path=inference_path, max_batch=max_batch,
     )
     return PerplexityPoint(
@@ -309,7 +306,7 @@ def run_perplexity_sweep(
     include_m4: bool = True,
     training_steps: int = 400,
     seed: int = 0,
-    softmax_backend: str = "software",
+    softmax_backend: str = "integer",
     inference_path: str = "batched",
     max_batch: Optional[int] = None,
     workers: Optional[int] = None,
@@ -319,12 +316,11 @@ def run_perplexity_sweep(
     """End-to-end perplexity for the precision grid (plus the FP baseline).
 
     ``softmax_backend`` selects how the replacement attention softmax is
-    executed — any :data:`repro.runtime.backend.BACKEND_NAMES` entry or
-    legacy alias (see :data:`SOFTMAX_BACKENDS`); with ``"ap-cluster"`` the
-    whole evaluation runs AP-backed end to end.  Note the software backends
-    apply the Barrett correction step by default while the AP dataflow uses
-    the raw quotient, so the two families can differ in the last fixed-point
-    digit of individual probabilities.
+    executed — any :data:`PRECISION_SWEEP_BACKENDS` entry; with
+    ``"ap-cluster"`` the whole evaluation runs AP-backed end to end.  Note
+    the software backends apply the Barrett correction step by default
+    while the AP dataflow uses the raw quotient, so the two families can
+    differ in the last fixed-point digit of individual probabilities.
 
     ``inference_path`` selects the evaluation path per point (``"batched"``
     — the graph-free ``model.infer`` fast path, default — or ``"loop"``,
@@ -355,7 +351,7 @@ def run_perplexity_sweep(
             f"softmax_backend {softmax_backend!r} ignores the per-point "
             f"precision configuration, so the sweep would report the FP "
             f"baseline on every row; choose one of "
-            f"{', '.join(PRECISION_SWEEP_BACKENDS)} (or a legacy alias)"
+            f"{', '.join(PRECISION_SWEEP_BACKENDS)}"
         )
     check_in_choices(inference_path, INFERENCE_PATHS, "inference_path")
     if engine is not None:
@@ -547,7 +543,7 @@ class InferenceSpeedReport:
         return self.loop_seconds / self.batched_seconds
 
 
-class _SeedGroupedIntegerSoftmaxFn:
+class _SeedGroupedIntegerBackend(IntegerBackend):
     """The seed's batched integer attention softmax, kept as a baseline.
 
     One :class:`~repro.softmax.integer_softmax.IntegerSoftmax` call per
@@ -560,27 +556,24 @@ class _SeedGroupedIntegerSoftmaxFn:
     to the masked single call.
     """
 
-    supports_batch = True
-
     def __init__(self, precision: PrecisionConfig) -> None:
-        self._softmax = IntegerSoftmax(precision=precision)
+        super().__init__(BackendSpec("integer", precision=precision))
 
-    def __call__(
-        self, scores: np.ndarray, valid_lengths: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        scores = np.asarray(scores, dtype=np.float64)
-        rows = scores[None, :] if scores.ndim == 1 else scores
-        if valid_lengths is None:
-            probabilities = self._softmax(rows)
+    def _run(self, scores, lengths):
+        rows = self._rows_view(scores)
+        if lengths is None:
+            probabilities = self.integer_softmax(rows)
         else:
-            lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
             probabilities = np.zeros_like(rows)
             for length in np.unique(lengths):
                 selected = lengths == length
-                probabilities[selected, :length] = self._softmax(
+                probabilities[selected, :length] = self.integer_softmax(
                     rows[selected, :length]
                 )
-        return probabilities.reshape(scores.shape)
+        return SoftmaxResult(
+            probabilities=probabilities.reshape(scores.shape),
+            backend=self.spec.name,
+        )
 
 
 def run_inference_speed(
@@ -603,7 +596,7 @@ def run_inference_speed(
     the FP baseline point) on identical weights, which is the fair
     same-machine comparison ``benchmarks/test_llm_speed.py`` pins.  The
     baseline side runs ``inference_path="loop"`` with the seed's integer
-    grouping (see :class:`_SeedGroupedIntegerSoftmaxFn`); for non-integer
+    grouping (see :class:`_SeedGroupedIntegerBackend`); for non-integer
     backends the loop baseline uses the backend unchanged.
     """
     canonical = canonical_backend_name(softmax_backend)
@@ -628,36 +621,38 @@ def run_inference_speed(
 
     heads = model.config.num_heads
 
-    def batched_fn(config: Optional[PrecisionConfig]) -> Optional[SoftmaxFn]:
+    def batched_backend(
+        config: Optional[PrecisionConfig],
+    ) -> Optional[SoftmaxBackend]:
         if config is None:
             return None
-        return _sweep_softmax_fn(config, softmax_backend, heads, segment, engine)
+        return _sweep_backend(config, softmax_backend, heads, segment, engine)
 
-    def seed_fn(config: Optional[PrecisionConfig]) -> Optional[SoftmaxFn]:
+    def seed_backend(config: Optional[PrecisionConfig]) -> Optional[SoftmaxBackend]:
         if config is None:
             return None
         if canonical == "integer":
-            return _SeedGroupedIntegerSoftmaxFn(config)
-        return _sweep_softmax_fn(config, softmax_backend, heads, segment, engine)
+            return _SeedGroupedIntegerBackend(config)
+        return _sweep_backend(config, softmax_backend, heads, segment, engine)
 
     grid: List[Optional[PrecisionConfig]] = [None] + configurations
     batched_seconds = loop_seconds = 0.0
     bit_identical = True
     for config in grid:
-        # Build both callables outside the timed windows: the report is
+        # Build both backends outside the timed windows: the report is
         # pure evaluation time, not backend construction (an ap-cluster
         # spec builds one AP per head plus its compiled plan).
-        fast_fn = batched_fn(config)
-        slow_fn = seed_fn(config)
+        fast_backend = batched_backend(config)
+        slow_backend = seed_backend(config)
         start = time.perf_counter()
         fast = evaluate_perplexity(
-            model, tokens, segment, softmax_fn=fast_fn,
+            model, tokens, segment, backend=fast_backend,
             inference_path="batched", max_batch=max_batch,
         )
         batched_seconds += time.perf_counter() - start
         start = time.perf_counter()
         slow = evaluate_perplexity(
-            model, tokens, segment, softmax_fn=slow_fn,
+            model, tokens, segment, backend=slow_backend,
             inference_path="loop",
         )
         loop_seconds += time.perf_counter() - start

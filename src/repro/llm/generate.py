@@ -23,8 +23,8 @@ the ``Parameter`` version counters) as the prefill.  The
 :class:`KVCache` grows geometrically, so a long generation performs
 ``O(log T)`` reallocations, not one per token.
 
-**Replacement softmax across a length sweep.**  With a batched replacement
-softmax each decode step dispatches one head-major ``(h * g, t)`` row
+**Replacement softmax across a length sweep.**  With a replacement softmax
+backend each decode step dispatches one head-major ``(h * g, t)`` row
 space — every row a full-width query over the ``t``-entry cache — through
 :func:`~repro.llm.model.causal_batched_softmax` with explicit
 ``valid_lengths``.  The sequence length ``t`` advances by one per step,
@@ -52,7 +52,8 @@ from repro.nn.functional import rms_norm_forward, softmax_forward
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.llm.model import SoftmaxFn, TinyLlamaModel
+    from repro.llm.model import TinyLlamaModel
+    from repro.runtime.backend import SoftmaxBackend
 
 __all__ = ["KVCache", "generate"]
 
@@ -149,7 +150,6 @@ def generate(
     prompts: np.ndarray,
     max_new_tokens: int,
     valid_lengths: Optional[np.ndarray] = None,
-    softmax_fn: Optional["SoftmaxFn"] = None,
     backend: Optional[object] = None,
     temperature: float = 0.0,
     top_k: Optional[int] = None,
@@ -172,13 +172,10 @@ def generate(
         ``1..P``) for ragged prompt batches: row ``b``'s tokens at
         positions ``>= valid_lengths[b]`` are ignored and generation
         continues from position ``valid_lengths[b]``.
-    softmax_fn:
-        Optional replacement attention softmax (same contract as
-        :func:`~repro.llm.infer.infer`).
     backend:
-        Optional replacement attention softmax selected through the
-        unified runtime API (name / spec / resolved backend); mutually
-        exclusive with ``softmax_fn``.
+        Optional replacement attention softmax (name / spec / resolved
+        backend, as for :func:`~repro.llm.infer.infer`); ``None`` keeps
+        the floating-point softmax.
     temperature:
         ``0.0`` (default) decodes greedily (argmax).  A positive value
         samples from ``softmax(logits / temperature)``.
@@ -201,16 +198,7 @@ def generate(
         Generated int64 token ids of shape ``(B, max_new_tokens)``
         (``(max_new_tokens,)`` for a 1-D prompt).
     """
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        # Imported lazily: the base substrate must stay importable without
-        # pulling the whole runtime/mapping/gpu stack in.
-        from repro.runtime.backend import resolve_model_backend
-
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    backend = model._resolve_backend(backend)
     prompts = np.asarray(prompts, dtype=np.int64)
     squeeze = prompts.ndim == 1
     if squeeze:
@@ -238,12 +226,12 @@ def generate(
     rng = np.random.default_rng(seed)
     if use_cache:
         generated = _generate_cached(
-            model, prompts, lengths, max_new_tokens, softmax_fn, temperature,
+            model, prompts, lengths, max_new_tokens, backend, temperature,
             top_k, rng,
         )
     else:
         generated = _generate_reprefill(
-            model, prompts, lengths, max_new_tokens, softmax_fn, temperature,
+            model, prompts, lengths, max_new_tokens, backend, temperature,
             top_k, rng,
         )
     return generated[0] if squeeze else generated
@@ -268,7 +256,7 @@ def _generate_cached(
     prompts: np.ndarray,
     lengths: np.ndarray,
     max_new_tokens: int,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
     temperature: float,
     top_k: Optional[int],
     rng: np.random.Generator,
@@ -292,7 +280,7 @@ def _generate_cached(
     for length, rows in groups:
         sink: List[Tuple[np.ndarray, np.ndarray]] = []
         block_logits = _forward_batch(
-            model, prompts[rows, :length], softmax_fn, kv_sink=sink
+            model, prompts[rows, :length], backend, kv_sink=sink
         )
         logits_last[rows] = block_logits[:, -1]
         for layer_index, (k, v) in enumerate(sink):
@@ -305,7 +293,7 @@ def _generate_cached(
         for length, rows in groups:
             position = length + step - 1  # 0-indexed position of the fed token
             logits_last[rows] = _decode_step(
-                model, cache, rows, generated[rows, step - 1], position, softmax_fn
+                model, cache, rows, generated[rows, step - 1], position, backend
             )
         cache.lengths += 1
         generated[:, step] = _sample_next_tokens(logits_last, temperature, top_k, rng)
@@ -318,7 +306,7 @@ def _decode_step(
     rows: Rows,
     tokens: np.ndarray,
     position: int,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
 ) -> np.ndarray:
     """One incremental decoder pass: feed one token per selected row at
     ``position`` and return the next-token logits, shape ``(g, vocab)``."""
@@ -329,7 +317,7 @@ def _decode_step(
     )[:, None, :]  # (g, 1, d)
     for index, layer in enumerate(model.layers):
         x = x + _decode_attention(
-            model, cache, index, rows, x, position, scale_factor, softmax_fn
+            model, cache, index, rows, x, position, scale_factor, backend
         )
         x = x + _feed_forward(x, layer)
     x = rms_norm_forward(x, model.final_norm.data)
@@ -344,7 +332,7 @@ def _decode_attention(
     x: np.ndarray,
     position: int,
     scale_factor: float,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
 ) -> np.ndarray:
     """Single-query attention against the cache: ``(g, h, 1, hd)`` queries
     over ``(g, h, t, hd)`` cached keys/values, ``t = position + 1``."""
@@ -363,12 +351,10 @@ def _decode_attention(
     values = cache.values(layer_index, rows, t)
     scores = np.matmul(q, keys.transpose(0, 1, 3, 2)) * scale_factor  # (g, h, 1, t)
 
-    if softmax_fn is None:
+    if backend is None:
         probabilities = softmax_forward(scores)
-    elif getattr(softmax_fn, "supports_batch", False):
-        probabilities = _decode_batched_softmax(scores, softmax_fn)
     else:
-        probabilities = _decode_rowwise_softmax(scores, softmax_fn)
+        probabilities = _decode_batched_softmax(scores, backend)
 
     context = np.matmul(probabilities, values)  # (g, h, 1, hd)
     projected = np.matmul(context, stacks.wo)  # (g, h, 1, d)
@@ -379,7 +365,7 @@ def _decode_attention(
 
 
 def _decode_batched_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
+    scores: np.ndarray, backend: "SoftmaxBackend"
 ) -> np.ndarray:
     """One head-major softmax call per decode step.
 
@@ -392,21 +378,9 @@ def _decode_batched_softmax(
     g, h, t = scores.shape[0], scores.shape[1], scores.shape[3]
     stacked = scores[:, :, 0].transpose(1, 0, 2).reshape(h * g, t)
     probabilities = causal_batched_softmax(
-        stacked, softmax_fn, valid_lengths=np.full(h * g, t, dtype=np.int64)
+        stacked, backend, valid_lengths=np.full(h * g, t, dtype=np.int64)
     )
     return probabilities.reshape(h, g, t).transpose(1, 0, 2)[:, :, None]
-
-
-def _decode_rowwise_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
-) -> np.ndarray:
-    """The legacy row-by-row contract: one call per row per head."""
-    g, h = scores.shape[0], scores.shape[1]
-    probabilities = np.zeros_like(scores)
-    for segment in range(g):
-        for head in range(h):
-            probabilities[segment, head, 0] = softmax_fn(scores[segment, head, 0])
-    return probabilities
 
 
 # --------------------------------------------------------------------------- #
@@ -417,7 +391,7 @@ def _generate_reprefill(
     prompts: np.ndarray,
     lengths: np.ndarray,
     max_new_tokens: int,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
     temperature: float,
     top_k: Optional[int],
     rng: np.random.Generator,
@@ -439,7 +413,7 @@ def _generate_reprefill(
             model,
             buffer[:, :width],
             valid_lengths=current if ragged else None,
-            softmax_fn=softmax_fn,
+            backend=backend,
         )
         logits_last = logits[row_index, current - 1]
         tokens = _sample_next_tokens(logits_last, temperature, top_k, rng)

@@ -28,9 +28,9 @@ structural property behind the bit-identity (zero-padding instead would
 perturb numpy's pairwise summations in the last ulp).  A perplexity
 evaluation has at most two groups: the full segments and the ragged tail.
 
-**One wide softmax call per layer.**  A batched replacement softmax
-(``supports_batch = True``) receives all heads of all same-width segments
-as a single head-major ``(h*B*T, T)`` score matrix — row
+**One wide softmax call per layer.**  A replacement softmax backend
+receives all heads of all same-width segments in one ``run()`` call, as a
+single head-major ``(h*B*T, T)`` score matrix — row
 ``h*(B*T) + b*T + i`` holds query row ``i`` of segment ``b`` of head ``h``
 — with the per-row causal prefix lengths.  That is exactly the layout
 :class:`~repro.mapping.cluster.ApCluster` shards across its per-head APs in
@@ -46,9 +46,11 @@ import numpy as np
 
 from repro.llm.model import causal_batched_softmax
 from repro.nn.functional import rms_norm_forward, silu_forward, softmax_forward
+from repro.utils.validation import integer_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.llm.model import SoftmaxFn, TinyLlamaModel
+    from repro.llm.model import TinyLlamaModel
+    from repro.runtime.backend import SoftmaxBackend
 
 __all__ = ["infer"]
 
@@ -57,7 +59,6 @@ def infer(
     model: "TinyLlamaModel",
     tokens: np.ndarray,
     valid_lengths: Optional[np.ndarray] = None,
-    softmax_fn: Optional["SoftmaxFn"] = None,
     backend: Optional[object] = None,
 ) -> np.ndarray:
     """Next-token logits for a batch of token segments, graph-free.
@@ -76,14 +77,12 @@ def infer(
         evaluated together at that width, so the logits at positions
         ``< valid_lengths[b]`` are bit-identical to forwarding the
         unpadded segment alone; logits at ignored positions are zero.
-    softmax_fn:
-        Optional replacement attention softmax (same contract as
-        :meth:`~repro.llm.model.TinyLlamaModel.forward`: row-by-row
-        callable, or batched with ``supports_batch = True``).
     backend:
-        Optional replacement attention softmax selected through the
-        unified runtime API (name / spec / resolved backend); mutually
-        exclusive with ``softmax_fn``.
+        Optional replacement attention softmax (a backend name, a
+        :class:`~repro.runtime.backend.BackendSpec` or a resolved
+        :class:`~repro.runtime.backend.SoftmaxBackend`, as for
+        :meth:`~repro.llm.model.TinyLlamaModel.forward`); ``None`` keeps
+        the floating-point softmax.
 
     Returns
     -------
@@ -91,16 +90,7 @@ def infer(
         Float64 logits of shape ``(B, T, vocab)`` (``(T, vocab)`` for 1-D
         input).  No autograd graph is recorded.
     """
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        # Imported lazily: the base substrate must stay importable without
-        # pulling the whole runtime/mapping/gpu stack in.
-        from repro.runtime.backend import resolve_model_backend
-
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    backend = model._resolve_backend(backend)
     tokens = np.asarray(tokens, dtype=np.int64)
     squeeze = tokens.ndim == 1
     if squeeze:
@@ -117,13 +107,13 @@ def infer(
     lengths = _check_valid_lengths(valid_lengths, batch, t)
 
     if lengths is None or np.all(lengths == t):
-        logits = _forward_batch(model, tokens, softmax_fn)
+        logits = _forward_batch(model, tokens, backend)
     else:
         logits = np.zeros((batch, t, model.config.vocab_size))
         for length in np.unique(lengths):
             rows = lengths == length
             logits[rows, :length] = _forward_batch(
-                model, tokens[rows][:, :length], softmax_fn
+                model, tokens[rows][:, :length], backend
             )
     return logits[0] if squeeze else logits
 
@@ -133,7 +123,7 @@ def _check_valid_lengths(
 ) -> Optional[np.ndarray]:
     if valid_lengths is None:
         return None
-    lengths = np.asarray(valid_lengths)
+    lengths = integer_lengths(valid_lengths)
     # Strict shape check *before* any flattening: a (B, 1) or (1, B) array
     # reshapes silently to (B,) but almost certainly means the caller built
     # the wrong layout — reject anything that is not already 1-D.
@@ -142,11 +132,6 @@ def _check_valid_lengths(
             f"valid_lengths must be 1-D and hold one entry per segment "
             f"({batch}), got shape {lengths.shape}"
         )
-    if not np.issubdtype(lengths.dtype, np.integer):
-        raise ValueError(
-            f"valid_lengths must be integers, got dtype {lengths.dtype}"
-        )
-    lengths = lengths.astype(np.int64)
     if np.any(lengths < 1) or np.any(lengths > t):
         raise ValueError("valid_lengths must lie in 1..T for every segment")
     return lengths
@@ -155,7 +140,7 @@ def _check_valid_lengths(
 def _forward_batch(
     model: "TinyLlamaModel",
     tokens: np.ndarray,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
     kv_sink: Optional[list] = None,
 ) -> np.ndarray:
     """The batched decoder stack over a uniform-width ``(B, T)`` batch.
@@ -173,7 +158,7 @@ def _forward_batch(
 
     x = model.token_embedding.data[tokens] + model.position_embedding.data[positions]
     for index, layer in enumerate(model.layers):
-        x = x + _attention(model, x, index, mask, scale_factor, softmax_fn, kv_sink)
+        x = x + _attention(model, x, index, mask, scale_factor, backend, kv_sink)
         x = x + _feed_forward(x, layer)
     x = rms_norm_forward(x, model.final_norm.data)
     return np.matmul(x, model.output_head.data)
@@ -188,7 +173,7 @@ def _attention(
     layer_index: int,
     mask: np.ndarray,
     scale_factor: float,
-    softmax_fn: Optional["SoftmaxFn"],
+    backend: Optional["SoftmaxBackend"],
     kv_sink: Optional[list] = None,
 ) -> np.ndarray:
     """Multi-head causal self-attention over a ``(B, T, d)`` activation.
@@ -208,12 +193,10 @@ def _attention(
         kv_sink.append((k, v))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale_factor  # (B, h, T, T)
 
-    if softmax_fn is None:
+    if backend is None:
         probabilities = softmax_forward(scores + mask)
-    elif getattr(softmax_fn, "supports_batch", False):
-        probabilities = _batched_replacement_softmax(scores, softmax_fn)
     else:
-        probabilities = _rowwise_replacement_softmax(scores, softmax_fn)
+        probabilities = _batched_replacement_softmax(scores, backend)
 
     context = np.matmul(probabilities, v)  # (B, h, T, hd)
     projected = np.matmul(context, stacks.wo)  # (B, h, T, d)
@@ -234,7 +217,7 @@ def _feed_forward(x: np.ndarray, layer: dict) -> np.ndarray:
 # Replacement softmax dispatch                                                 #
 # --------------------------------------------------------------------------- #
 def _batched_replacement_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
+    scores: np.ndarray, backend: "SoftmaxBackend"
 ) -> np.ndarray:
     """One head-major softmax call covering every segment, head and row.
 
@@ -247,20 +230,6 @@ def _batched_replacement_softmax(
     """
     b, h, t = scores.shape[0], scores.shape[1], scores.shape[2]
     stacked = scores.transpose(1, 0, 2, 3).reshape(h * b * t, t)
-    probabilities = causal_batched_softmax(stacked, softmax_fn)
+    probabilities = causal_batched_softmax(stacked, backend)
     return probabilities.reshape(h, b, t, t).transpose(1, 0, 2, 3)
 
-
-def _rowwise_replacement_softmax(
-    scores: np.ndarray, softmax_fn: "SoftmaxFn"
-) -> np.ndarray:
-    """The legacy row-by-row contract: one call per causally-valid prefix."""
-    b, h, t = scores.shape[0], scores.shape[1], scores.shape[2]
-    probabilities = np.zeros_like(scores)
-    for segment in range(b):
-        for head in range(h):
-            for i in range(t):
-                probabilities[segment, head, i, : i + 1] = softmax_fn(
-                    scores[segment, head, i, : i + 1]
-                )
-    return probabilities

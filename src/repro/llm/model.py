@@ -9,28 +9,22 @@ embeddings replace rotary embeddings, and the model is small enough to
 train on the synthetic corpus in seconds.
 
 The attention softmax is pluggable: during training the differentiable
-floating-point softmax is used; during evaluation an arbitrary callable
-(e.g. :class:`~repro.softmax.integer_softmax.IntegerSoftmax`) can be
-substituted for it, which is exactly how the SoftmAP hardware would see the
-scores (the AP is handed only the valid keys of each query).  Two
-replacement contracts are supported:
-
-* a plain callable mapping one 1-D score vector to probabilities — applied
-  row by row over each query's causally-valid prefix (the original, slow
-  contract);
-* a *batched* callable (attribute ``supports_batch = True``) mapping a
-  head-major ``(rows, seq)`` score matrix to probabilities of the same
-  shape, receiving the per-row causal prefix lengths via a
-  ``valid_lengths`` keyword and returning zeros at the masked positions.
-  The model then issues **one** call per layer covering every head and
-  query row — the shape :class:`~repro.mapping.cluster.ApCluster` shards
-  across its per-head APs.
+floating-point softmax is used; during evaluation a runtime softmax
+backend (``backend=``: a name such as ``"integer"`` or ``"ap-cluster"``, a
+:class:`~repro.runtime.backend.BackendSpec` or a resolved
+:class:`~repro.runtime.backend.SoftmaxBackend`) replaces it, which is
+exactly how the SoftmAP hardware would see the scores (the AP is handed
+only the valid keys of each query).  The model issues **one**
+``backend.run(stacked, valid_lengths=...)`` call per layer covering every
+head and query row as a head-major ``(rows, seq)`` matrix — the shape
+:class:`~repro.mapping.cluster.ApCluster` shards across its per-head APs
+(see :func:`causal_batched_softmax`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +42,11 @@ from repro.nn.functional import (
     softmax_op,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.backend import SoftmaxBackend
+
 __all__ = [
     "TinyLlamaModel",
-    "SoftmaxFn",
     "StackedAttentionWeights",
     "causal_batched_softmax",
 ]
@@ -58,10 +54,10 @@ __all__ = [
 
 def causal_batched_softmax(
     stacked: np.ndarray,
-    softmax_fn: "SoftmaxFn",
+    backend: "SoftmaxBackend",
     valid_lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Apply a batched replacement softmax to stacked causal score rows.
+    """Run a replacement softmax backend over stacked causal score rows.
 
     This is the single authority for the head-major row-space contract;
     the autograd forward, the graph-free inference path and the KV-cache
@@ -83,10 +79,10 @@ def causal_batched_softmax(
       query with its own prefix length — an incremental decode step passes
       ``(B * h, t)`` rows all attending to the full ``t``-entry KV cache.
 
-    The callable receives the whole matrix plus the per-row prefix lengths
-    and the returned probabilities are re-masked with the validity pattern
-    — a no-op for a conforming callable, but it guarantees causality
-    regardless of the replacement.
+    The backend's ``run`` receives the whole matrix plus the per-row
+    prefix lengths and the returned probabilities are re-masked with the
+    validity pattern — a no-op for a conforming backend, but it guarantees
+    causality regardless of the replacement.
     """
     t = stacked.shape[1]
     if valid_lengths is None:
@@ -110,24 +106,17 @@ def causal_batched_softmax(
                 f"[{lengths.min()}, {lengths.max()}]"
             )
     probabilities = np.asarray(
-        softmax_fn(stacked, valid_lengths=lengths), dtype=np.float64
+        backend.run(stacked, valid_lengths=lengths).probabilities,
+        dtype=np.float64,
     )
     if probabilities.shape != stacked.shape:
         raise ValueError(
-            f"batched softmax_fn returned shape {probabilities.shape}, "
+            f"softmax backend returned shape {probabilities.shape}, "
             f"expected {stacked.shape}"
         )
     return np.where(
         np.arange(t)[None, :] < lengths[:, None], probabilities, 0.0
     )
-
-#: A softmax replacement: maps a score vector (1-D numpy array) to
-#: probabilities of the same length.  Callables carrying the attribute
-#: ``supports_batch = True`` instead receive a head-major ``(rows, seq)``
-#: score matrix plus a ``valid_lengths`` keyword (one causal prefix length
-#: per row) and return a ``(rows, seq)`` probability matrix with zeros at
-#: the masked positions.
-SoftmaxFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -329,10 +318,24 @@ class TinyLlamaModel:
     # ------------------------------------------------------------------ #
     # Forward                                                              #
     # ------------------------------------------------------------------ #
+    def _resolve_backend(
+        self, backend: Optional[object]
+    ) -> Optional["SoftmaxBackend"]:
+        """``backend=`` resolved with this model's head count and context
+        width filled in (``None`` stays ``None``: the float softmax)."""
+        if backend is None:
+            return None
+        # Imported lazily: the base substrate must stay importable without
+        # pulling the whole runtime/mapping/gpu stack in.
+        from repro.runtime.backend import resolve_model_backend
+
+        return resolve_model_backend(
+            backend, self.config.num_heads, self.config.max_context
+        )
+
     def forward(
         self,
         tokens: np.ndarray,
-        softmax_fn: Optional[SoftmaxFn] = None,
         backend: Optional[object] = None,
     ) -> Tensor:
         """Compute next-token logits for a 1-D token id sequence.
@@ -341,28 +344,15 @@ class TinyLlamaModel:
         ----------
         tokens:
             Integer token ids of shape ``(T,)`` with ``T <= max_context``.
-        softmax_fn:
-            Optional replacement for the attention softmax, applied row by
-            row over each query's causally-valid prefix.  Must only be used
-            for evaluation (no gradients flow through it).
         backend:
-            Optional replacement attention softmax selected through the
-            unified runtime API — a backend name, a
+            Optional replacement attention softmax — a backend name, a
             :class:`~repro.runtime.backend.BackendSpec` or a resolved
             :class:`~repro.runtime.backend.SoftmaxBackend`; the model's
             head count and context width fill in unspecified spec fields.
-            Mutually exclusive with ``softmax_fn``.
+            ``None`` keeps the floating-point softmax.  Must only be used
+            for evaluation (no gradients flow through it).
         """
-        if backend is not None:
-            if softmax_fn is not None:
-                raise ValueError("pass either softmax_fn or backend, not both")
-            # Imported lazily: the base substrate must stay importable
-            # without pulling the whole runtime/mapping/gpu stack in.
-            from repro.runtime.backend import resolve_model_backend
-
-            softmax_fn = resolve_model_backend(
-                backend, self.config.num_heads, self.config.max_context
-            ).softmax_fn()
+        backend = self._resolve_backend(backend)
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1:
             raise ValueError("forward expects a 1-D token sequence")
@@ -380,7 +370,7 @@ class TinyLlamaModel:
             embedding(self.position_embedding, positions),
         )
         for layer in self.layers:
-            x = add(x, self._attention(x, layer, causal_mask, scale_factor, softmax_fn))
+            x = add(x, self._attention(x, layer, causal_mask, scale_factor, backend))
             x = add(x, self._feed_forward(x, layer))
         x = rms_norm(x, self.final_norm)
         return matmul(x, self.output_head)
@@ -388,21 +378,19 @@ class TinyLlamaModel:
     def loss(
         self,
         tokens: np.ndarray,
-        softmax_fn: Optional[SoftmaxFn] = None,
         backend: Optional[object] = None,
     ) -> Tensor:
         """Mean next-token cross entropy on a token sequence."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.shape[0] < 2:
             raise ValueError("need at least two tokens to form a prediction target")
-        logits = self.forward(tokens[:-1], softmax_fn=softmax_fn, backend=backend)
+        logits = self.forward(tokens[:-1], backend=backend)
         return cross_entropy(logits, tokens[1:])
 
     def infer(
         self,
         tokens: np.ndarray,
         valid_lengths: Optional[np.ndarray] = None,
-        softmax_fn: Optional[SoftmaxFn] = None,
         backend: Optional[object] = None,
     ) -> np.ndarray:
         """Graph-free batched next-token logits (the fast inference path).
@@ -416,20 +404,13 @@ class TinyLlamaModel:
         # Imported lazily: repro.llm.infer imports this module's types.
         from repro.llm.infer import infer
 
-        return infer(
-            self,
-            tokens,
-            valid_lengths=valid_lengths,
-            softmax_fn=softmax_fn,
-            backend=backend,
-        )
+        return infer(self, tokens, valid_lengths=valid_lengths, backend=backend)
 
     def generate(
         self,
         prompts: np.ndarray,
         max_new_tokens: int,
         valid_lengths: Optional[np.ndarray] = None,
-        softmax_fn: Optional[SoftmaxFn] = None,
         backend: Optional[object] = None,
         temperature: float = 0.0,
         top_k: Optional[int] = None,
@@ -455,7 +436,6 @@ class TinyLlamaModel:
             prompts,
             max_new_tokens,
             valid_lengths=valid_lengths,
-            softmax_fn=softmax_fn,
             backend=backend,
             temperature=temperature,
             top_k=top_k,
@@ -472,11 +452,11 @@ class TinyLlamaModel:
         layer: dict,
         causal_mask: np.ndarray,
         scale_factor: float,
-        softmax_fn: Optional[SoftmaxFn],
+        backend: Optional["SoftmaxBackend"],
     ) -> Tensor:
         normed = rms_norm(x, layer["attn_norm"])
         # Phase 1: per-head scores and values (the score tensors of every
-        # head must exist before a batched replacement softmax can shard
+        # head must exist before the replacement softmax backend can shard
         # them across the cluster in a single call).
         head_scores: List[Tensor] = []
         head_values: List[Tensor] = []
@@ -487,19 +467,14 @@ class TinyLlamaModel:
             head_scores.append(scale(matmul(q, k, transpose_b=True), scale_factor))
 
         # Phase 2: attention probabilities for every head.
-        if softmax_fn is None:
+        if backend is None:
             head_probabilities = [
                 softmax_op(scores, mask=causal_mask) for scores in head_scores
             ]
-        elif getattr(softmax_fn, "supports_batch", False):
-            head_probabilities = self._apply_batched_replacement_softmax(
-                [scores.data for scores in head_scores], softmax_fn
-            )
         else:
-            head_probabilities = [
-                Tensor(self._apply_replacement_softmax(scores.data, softmax_fn))
-                for scores in head_scores
-            ]
+            head_probabilities = self._apply_batched_replacement_softmax(
+                [scores.data for scores in head_scores], backend
+            )
 
         # Phase 3: per-head context and output projection.
         head_outputs: Optional[Tensor] = None
@@ -516,26 +491,10 @@ class TinyLlamaModel:
         return matmul(mul(gate, up), layer["w_down"])
 
     @staticmethod
-    def _apply_replacement_softmax(
-        scores: np.ndarray, softmax_fn: SoftmaxFn
-    ) -> np.ndarray:
-        """Apply a replacement softmax row by row over the causal prefix.
-
-        Row ``i`` of the score matrix may only attend to keys ``0..i``; the
-        replacement softmax (e.g. the integer-only approximation) is handed
-        exactly that prefix, and future positions receive probability zero.
-        """
-        t = scores.shape[0]
-        probabilities = np.zeros_like(scores)
-        for i in range(t):
-            probabilities[i, : i + 1] = softmax_fn(scores[i, : i + 1])
-        return probabilities
-
-    @staticmethod
     def _apply_batched_replacement_softmax(
-        score_matrices: List[np.ndarray], softmax_fn: SoftmaxFn
+        score_matrices: List[np.ndarray], backend: "SoftmaxBackend"
     ) -> List[Tensor]:
-        """Apply a batched replacement softmax to every head in one call.
+        """Apply the replacement softmax backend to every head in one call.
 
         The heads' ``(T, T)`` score matrices are stacked head-major into one
         ``(heads * T, T)`` matrix and dispatched through
@@ -544,7 +503,7 @@ class TinyLlamaModel:
         t = score_matrices[0].shape[0]
         heads = len(score_matrices)
         stacked = np.concatenate(score_matrices, axis=0)
-        probabilities = causal_batched_softmax(stacked, softmax_fn)
+        probabilities = causal_batched_softmax(stacked, backend)
         return [
             Tensor(probabilities[head * t : (head + 1) * t]) for head in range(heads)
         ]

@@ -23,38 +23,24 @@ The replacement attention softmax is selected through the unified runtime
 API: pass ``backend=`` a name ("integer", "ap-cluster", ...), a
 :class:`~repro.runtime.backend.BackendSpec`, or a resolved
 :class:`~repro.runtime.backend.SoftmaxBackend` — the model's head count and
-context width are filled in automatically.  The older ``softmax_fn``
-argument (a raw callable) remains supported, and
-:func:`integer_softmax_fn` / :func:`ap_cluster_softmax_fn` are kept as
-*deprecated* thin shims over
-:func:`~repro.runtime.backend.resolve_backend` for existing callers (they
-emit :class:`DeprecationWarning`).
+context width are filled in automatically; ``None`` keeps the
+floating-point softmax.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ap.engine import DEFAULT_ENGINE, canonical_engine_name
-from repro.llm.model import SoftmaxFn, TinyLlamaModel
+from repro.llm.model import TinyLlamaModel
 from repro.nn.autograd import no_grad
 from repro.nn.functional import log_softmax_forward
-from repro.quant.precision import PrecisionConfig
-from repro.runtime.backend import (
-    BackendSpec,
-    SoftmaxBackend,
-    resolve_backend,
-    resolve_model_backend,
-)
+from repro.runtime.backend import BackendSpec, SoftmaxBackend
 from repro.utils.validation import check_in_choices, check_positive_int
 
 __all__ = [
     "evaluate_perplexity",
-    "integer_softmax_fn",
-    "ap_cluster_softmax_fn",
     "INFERENCE_PATHS",
 ]
 
@@ -65,71 +51,6 @@ BackendLike = Union[str, BackendSpec, SoftmaxBackend]
 #: graph-free ``model.infer`` fast path (default); ``"loop"`` — the seed
 #: per-segment autograd-forward loop, kept as the parity baseline.
 INFERENCE_PATHS: Tuple[str, ...] = ("batched", "loop")
-
-
-def integer_softmax_fn(
-    precision: PrecisionConfig, batched: bool = False, **kwargs
-) -> SoftmaxFn:
-    """Deprecated shim: a software integer-softmax callable.
-
-    Equivalent to ``resolve_backend("integer", precision=precision,
-    options=kwargs).softmax_fn()``; with ``batched=False`` the returned
-    callable follows the original row-by-row contract (no
-    ``supports_batch`` attribute), producing bit-identical results.
-    Prefer ``evaluate_perplexity(..., backend="integer")`` or
-    :func:`~repro.runtime.backend.resolve_backend` directly.
-    """
-    warnings.warn(
-        "integer_softmax_fn is deprecated; use "
-        "evaluate_perplexity(..., backend='integer') or "
-        "resolve_backend('integer', ...).softmax_fn() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    backend = resolve_backend("integer", precision=precision, options=kwargs)
-    if batched:
-        return backend.softmax_fn()
-
-    def apply(scores: np.ndarray) -> np.ndarray:
-        return backend.run(scores).probabilities
-
-    return apply
-
-
-def ap_cluster_softmax_fn(
-    num_heads: int,
-    precision: PrecisionConfig,
-    sequence_length: int,
-    backend: str = DEFAULT_ENGINE,
-    **kwargs,
-) -> SoftmaxFn:
-    """Deprecated shim: an attention softmax on the functional AP cluster.
-
-    Equivalent to ``resolve_backend("ap-cluster", num_heads=...,
-    precision=..., sequence_length=..., engine=backend,
-    options=kwargs).softmax_fn()`` — the cluster executes every layer's
-    head-major score matrix as one fused compiled-plan pass, bit-identical
-    to the historical per-head loop and to the software pipeline with
-    ``barrett_correction=False`` while the sum accumulator does not
-    saturate.  ``backend`` names the functional engine and is validated
-    eagerly with a "did you mean" suggestion.  Prefer
-    ``evaluate_perplexity(..., backend="ap-cluster")``.
-    """
-    warnings.warn(
-        "ap_cluster_softmax_fn is deprecated; use "
-        "evaluate_perplexity(..., backend='ap-cluster') or "
-        "resolve_backend('ap-cluster', ...).softmax_fn() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_backend(
-        "ap-cluster",
-        num_heads=num_heads,
-        precision=precision,
-        sequence_length=sequence_length,
-        engine=canonical_engine_name(backend),
-        options=kwargs,
-    ).softmax_fn()
 
 
 def _evaluation_segments(
@@ -148,7 +69,7 @@ def _evaluation_segments(
 def _batched_log_likelihood(
     model: TinyLlamaModel,
     segments: List[Tuple[np.ndarray, np.ndarray]],
-    softmax_fn: Optional[SoftmaxFn],
+    backend: Optional[SoftmaxBackend],
     max_batch: Optional[int],
 ) -> Tuple[float, int]:
     """Total log-likelihood over ``segments`` via the batched infer path.
@@ -173,7 +94,7 @@ def _batched_log_likelihood(
         logits = model.infer(
             batch_tokens,
             valid_lengths=lengths if ragged else None,
-            softmax_fn=softmax_fn,
+            backend=backend,
         )
         log_probs = log_softmax_forward(logits)
         for row, (inputs, targets) in enumerate(chunk):
@@ -189,7 +110,6 @@ def evaluate_perplexity(
     model: TinyLlamaModel,
     tokens: np.ndarray,
     segment_length: Optional[int] = None,
-    softmax_fn: Optional[SoftmaxFn] = None,
     backend: Optional[BackendLike] = None,
     inference_path: str = "batched",
     max_batch: Optional[int] = None,
@@ -205,15 +125,12 @@ def evaluate_perplexity(
     segment_length:
         Width of the non-overlapping evaluation segments; defaults to the
         model's full context (the paper uses the models' 2048-token context).
-    softmax_fn:
-        Optional replacement attention softmax as a raw callable (the
-        legacy entry point; see :func:`integer_softmax_fn`).
     backend:
         Optional replacement attention softmax as a runtime backend — a
         name ("float", "integer", "ap", "ap-batch", "ap-cluster",
         "gpu-analytical"), a :class:`~repro.runtime.backend.BackendSpec`,
-        or a resolved backend instance.  Mutually exclusive with
-        ``softmax_fn``.  Pass a resolved instance to read its accumulated
+        or a resolved backend instance; ``None`` keeps the floating-point
+        softmax.  Pass a resolved instance to read its accumulated
         cost telemetry afterwards.  The AP-family backends execute through
         the compiled-plan layer — every layer's attention softmax is one
         fused wide pass, and each ``SoftmaxResult`` carries its
@@ -237,12 +154,7 @@ def evaluate_perplexity(
     check_in_choices(inference_path, INFERENCE_PATHS, "inference_path")
     if max_batch is not None:
         check_positive_int(max_batch, "max_batch")
-    if backend is not None:
-        if softmax_fn is not None:
-            raise ValueError("pass either softmax_fn or backend, not both")
-        softmax_fn = resolve_model_backend(
-            backend, model.config.num_heads, model.config.max_context
-        ).softmax_fn()
+    backend = model._resolve_backend(backend)
     tokens = np.asarray(tokens, dtype=np.int64)
     if segment_length is None:
         segment_length = model.config.max_context
@@ -257,11 +169,11 @@ def evaluate_perplexity(
     with no_grad():
         if inference_path == "batched":
             total_log_likelihood, total_predictions = _batched_log_likelihood(
-                model, segments, softmax_fn, max_batch
+                model, segments, backend, max_batch
             )
         else:
             for inputs, targets in segments:
-                logits = model.forward(inputs, softmax_fn=softmax_fn).numpy()
+                logits = model.forward(inputs, backend=backend).numpy()
                 log_probs = log_softmax_forward(logits)
                 total_log_likelihood += float(
                     np.sum(log_probs[np.arange(targets.shape[0]), targets])

@@ -31,12 +31,7 @@ from repro.mapping.plan import (
 )
 from repro.mapping.softmap import SoftmAPMapping, MappingCost, StepCost
 from repro.mapping.deployment import ApDeployment, DeploymentSummary
-from repro.mapping.cluster import (
-    ApCluster,
-    ClusterCost,
-    ClusterSchedule,
-    ClusterSoftmaxFn,
-)
+from repro.mapping.cluster import ApCluster, ClusterCost, ClusterSchedule
 
 __all__ = [
     "DataflowStep",
@@ -56,5 +51,4 @@ __all__ = [
     "ApCluster",
     "ClusterCost",
     "ClusterSchedule",
-    "ClusterSoftmaxFn",
 ]

@@ -60,7 +60,7 @@ from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ApCluster", "ClusterCost", "ClusterSchedule", "ClusterSoftmaxFn"]
+__all__ = ["ApCluster", "ClusterCost", "ClusterSchedule"]
 
 #: Distinct (vectors, sequence_length) tilings memoised per cluster.  The
 #: decode loop walks sequence lengths 1..T, so the cache is sized to hold a
@@ -121,57 +121,6 @@ class ClusterSchedule:
     def throughput_passes_per_s(self) -> float:
         """Steady-state cluster passes per second."""
         return self.num_batches / self.latency_s
-
-
-class ClusterSoftmaxFn:
-    """Batched attention-softmax adapter backed by an :class:`ApCluster`.
-
-    The callable implements the extended ``softmax_fn`` contract of
-    :class:`~repro.llm.model.TinyLlamaModel` (``supports_batch = True``): it
-    maps a head-major ``(rows, seq)`` score matrix — ``rows`` must be a
-    multiple of the cluster's head count, with row ``h * batch + b`` holding
-    batch row ``b`` of head ``h`` — to probabilities of the same shape,
-    zeroing every position at or beyond the row's ``valid_lengths`` entry.
-    A plain 1-D score vector is also accepted and runs on head 0.
-
-    Since the unified runtime API landed this class is a thin shim over
-    :meth:`ApCluster.as_backend`: every call delegates to the cluster's
-    :class:`~repro.runtime.backend.ApClusterBackend`, whose ``telemetry``
-    accumulates the cost of each pass (reachable via
-    :meth:`runtime_backend`).
-    """
-
-    #: Marks the extended (rows, seq) -> (rows, seq) softmax_fn contract.
-    supports_batch = True
-
-    def __init__(self, cluster: "ApCluster", backend: Optional[str] = None) -> None:
-        self.cluster = cluster
-        # Eager, with a "did you mean": an engine typo must fail here, not
-        # on the first attention row deep inside a perplexity evaluation.
-        self.backend = None if backend is None else canonical_engine_name(backend)
-        self._runtime_backend = None
-
-    def runtime_backend(self):
-        """The :class:`~repro.runtime.backend.ApClusterBackend` executing
-        the calls (built lazily; runtime imports this module)."""
-        if self._runtime_backend is None:
-            self._runtime_backend = self.cluster.as_backend(engine=self.backend)
-        return self._runtime_backend
-
-    def __call__(
-        self,
-        scores: np.ndarray,
-        valid_lengths: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim > 2:
-            # The model's softmax_fn contract is (rows, seq); the backend's
-            # run() additionally accepts (batch, heads, seq) tensors, which
-            # this adapter deliberately does not expose.
-            raise ValueError("cluster softmax_fn expects a (rows, seq) matrix")
-        return self.runtime_backend().run(
-            scores, valid_lengths=valid_lengths
-        ).probabilities
 
 
 class ApCluster:
@@ -428,10 +377,6 @@ class ApCluster:
                 f"sequence length {sequence_length} exceeds the provisioned "
                 f"maximum {self.sequence_length}"
             )
-
-    def softmax_fn(self, backend: Optional[str] = None) -> ClusterSoftmaxFn:
-        """A batched attention-softmax callable for the LLM substrate."""
-        return ClusterSoftmaxFn(self, backend=backend)
 
     def as_backend(self, engine: Optional[str] = None):
         """This cluster as a :class:`~repro.runtime.backend.SoftmaxBackend`.

@@ -141,7 +141,7 @@ class ApDeployment:
         functional per-head AP per attention head, configured exactly like
         the analytical deployment; use its
         :meth:`~repro.mapping.cluster.ApCluster.execute` /
-        :meth:`~repro.mapping.cluster.ApCluster.softmax_fn` to actually run
+        :meth:`~repro.mapping.cluster.ApCluster.as_backend` to actually run
         attention softmax tensors through the simulated hardware.
         """
         from repro.mapping.cluster import ApCluster

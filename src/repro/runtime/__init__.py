@@ -16,7 +16,6 @@ Two seams live here:
 """
 
 from repro.runtime.backend import (
-    BACKEND_ALIASES,
     BACKEND_NAMES,
     BackendCost,
     BackendSpec,
@@ -39,7 +38,6 @@ from repro.runtime.registry import (
 )
 
 __all__ = [
-    "BACKEND_ALIASES",
     "BACKEND_NAMES",
     "BackendCost",
     "BackendSpec",

@@ -1,12 +1,9 @@
 """The unified softmax-execution API: one protocol, many backends.
 
-Before this module existed the codebase had four ways to pick a softmax
-execution path — ``softmax_fn`` callables threaded through
-:mod:`repro.llm.perplexity`, ``softmax_backend`` strings in the Tables
-III/IV harness, ``backend=("reference"|"vectorized")`` engine kwargs on the
-AP stack, and the ad-hoc :class:`~repro.mapping.cluster.ClusterSoftmaxFn`
-adapter.  :func:`resolve_backend` replaces all of them with a single factory
-over named, uniformly shaped backends:
+:func:`resolve_backend` is the single factory from a backend name (or a
+:class:`BackendSpec`) to a named, uniformly shaped softmax execution path.
+The LLM substrate's ``backend=`` argument, the Tables III/IV harness's
+``softmax_backend`` and the serving layer all resolve through it:
 
 =================  =========================================================
 name               execution path
@@ -29,14 +26,12 @@ name               execution path
 
 Every backend implements the :class:`SoftmaxBackend` protocol:
 ``run(scores, valid_lengths) -> SoftmaxResult`` returns probabilities
-*together with* the analytical cost and cycle count of the pass (cost
-telemetry is no longer a side channel), and ``softmax_fn()`` adapts the
-backend to the LLM substrate's batched attention-softmax contract
-(see :mod:`repro.llm.model`).  Backend names are validated eagerly in
-:func:`resolve_backend`, which raises :class:`UnknownBackendError` with a
-"did you mean" suggestion for near-misses — the single place replacing the
-per-module string checks that used to be scattered across ``experiments/``,
-``llm/`` and ``mapping/``.
+*together with* the analytical cost and cycle count of the pass; the LLM
+substrate calls it once per layer on a head-major ``(rows, seq)`` matrix
+(see :func:`repro.llm.model.causal_batched_softmax`).  Backend names are
+validated eagerly in :func:`resolve_backend`, which raises
+:class:`UnknownBackendError` with a "did you mean" suggestion for
+near-misses — the single place backend-name strings are checked.
 """
 
 from __future__ import annotations
@@ -57,12 +52,11 @@ from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax as float_softmax
-from repro.utils.validation import check_in_choices
+from repro.utils.validation import check_in_choices, integer_lengths
 
 from typing import Protocol, runtime_checkable
 
 __all__ = [
-    "BACKEND_ALIASES",
     "BACKEND_NAMES",
     "BackendCost",
     "BackendSpec",
@@ -88,19 +82,6 @@ BACKEND_NAMES: Tuple[str, ...] = (
     "gpu-analytical",
 )
 
-#: Legacy spelling -> canonical name.  ``software``/``software-batched`` are
-#: the historical Tables III/IV sweep names; ``fp``/``fp32``/``gpu`` are
-#: common colloquialisms worth accepting.  (``reference``/``vectorized`` are
-#: deliberately *not* aliases — they name the functional AP engine, i.e. the
-#: ``engine`` field of a :class:`BackendSpec`.)
-BACKEND_ALIASES: Dict[str, str] = {
-    "fp": "float",
-    "fp32": "float",
-    "software": "integer",
-    "software-batched": "integer",
-    "gpu": "gpu-analytical",
-}
-
 _DESCRIPTIONS: Dict[str, str] = {
     "float": "floating-point reference softmax (accuracy baseline, no cost model)",
     "integer": "pure-software integer-only pipeline (Algorithm 1 in numpy)",
@@ -115,20 +96,18 @@ class UnknownBackendError(ValueError):
     """An unknown backend name, with a "did you mean" suggestion attached."""
 
     def __init__(self, name: str) -> None:
-        valid = sorted(set(BACKEND_NAMES) | set(BACKEND_ALIASES))
-        close = difflib.get_close_matches(name, valid, n=1, cutoff=0.5)
+        close = difflib.get_close_matches(name, BACKEND_NAMES, n=1, cutoff=0.5)
         hint = f" — did you mean {close[0]!r}?" if close else ""
         super().__init__(
             f"unknown softmax backend {name!r}{hint} "
-            f"(valid backends: {', '.join(BACKEND_NAMES)}; "
-            f"legacy aliases: {', '.join(sorted(BACKEND_ALIASES))})"
+            f"(valid backends: {', '.join(BACKEND_NAMES)})"
         )
         self.name = name
         self.suggestion = close[0] if close else None
 
 
 def canonical_backend_name(name: str) -> str:
-    """Validate a backend name eagerly, resolving legacy aliases.
+    """Validate a backend name eagerly.
 
     This is the single place backend-name strings are checked; every other
     module resolves through here so a typo fails fast with a helpful
@@ -136,10 +115,9 @@ def canonical_backend_name(name: str) -> str:
     """
     if not isinstance(name, str):
         raise TypeError(f"backend name must be a str, got {type(name).__name__}")
-    resolved = BACKEND_ALIASES.get(name, name)
-    if resolved not in BACKEND_NAMES:
+    if name not in BACKEND_NAMES:
         raise UnknownBackendError(name)
-    return resolved
+    return name
 
 
 def backend_descriptions() -> Dict[str, str]:
@@ -252,10 +230,10 @@ class BackendSpec:
 class BackendTelemetry:
     """Accumulated cost telemetry across every ``run()`` of one backend.
 
-    The LLM substrate consumes backends through the probability-only
-    ``softmax_fn`` adapter; the telemetry keeps the cost side of each pass
-    addressable afterwards instead of losing it (e.g. the total AP energy
-    of a whole perplexity evaluation).
+    The LLM substrate keeps only the probabilities of each ``run()``; the
+    telemetry keeps the cost side of each pass addressable afterwards
+    instead of losing it (e.g. the total AP energy of a whole perplexity
+    evaluation).
     """
 
     calls: int = 0
@@ -303,10 +281,6 @@ class SoftmaxBackend(Protocol):
         """Execute softmax over the last axis, returning probs + cost."""
         ...
 
-    def softmax_fn(self) -> Callable[..., np.ndarray]:
-        """Adapter implementing the LLM substrate's ``softmax_fn`` contract."""
-        ...
-
 
 def rows_runner(
     backend: "SoftmaxBackend",
@@ -318,26 +292,8 @@ def rows_runner(
     return getattr(backend, "run_rows", backend.run)
 
 
-class _BackendSoftmaxFn:
-    """Probability-only adapter: the model's batched ``softmax_fn`` contract
-    (``supports_batch = True``) on top of a backend's ``run()``; the cost
-    side of every pass accumulates in ``backend.telemetry``."""
-
-    supports_batch = True
-
-    def __init__(self, backend: "_BackendBase") -> None:
-        self.backend = backend
-
-    def __call__(
-        self,
-        scores: np.ndarray,
-        valid_lengths: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return self.backend.run(scores, valid_lengths=valid_lengths).probabilities
-
-
 class _BackendBase:
-    """Shared scaffolding: input normalisation, telemetry, the adapter."""
+    """Shared scaffolding: input normalisation and telemetry."""
 
     def __init__(self, spec: BackendSpec) -> None:
         self.spec = spec
@@ -365,9 +321,6 @@ class _BackendBase:
             raise ValueError("run_rows expects a (rows, seq) score matrix")
         return self.run(rows, valid_lengths=valid_lengths)
 
-    def softmax_fn(self) -> _BackendSoftmaxFn:
-        return _BackendSoftmaxFn(self)
-
     # -- helpers -------------------------------------------------------- #
     @staticmethod
     def _check_lengths(
@@ -375,7 +328,7 @@ class _BackendBase:
     ) -> Optional[np.ndarray]:
         if valid_lengths is None:
             return None
-        lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
+        lengths = integer_lengths(valid_lengths).reshape(-1)
         rows = int(np.prod(scores.shape[:-1], dtype=np.int64)) if scores.ndim > 1 else 1
         if lengths.shape != (rows,):
             raise ValueError(
@@ -603,7 +556,7 @@ class ApClusterBackend(_BackendBase):
         cls, cluster: ApCluster, engine: Optional[str] = None
     ) -> "ApClusterBackend":
         """Wrap an already-built :class:`~repro.mapping.cluster.ApCluster`
-        (used by the cluster's own ``as_backend()``/``softmax_fn()``)."""
+        (used by the cluster's own ``as_backend()``)."""
         backend = cls.__new__(cls)
         _BackendBase.__init__(
             backend,
@@ -820,6 +773,13 @@ class GpuAnalyticalBackend(_BackendBase):
     def _run(self, scores, lengths):
         rows = self._rows_view(scores)
         probabilities = _masked_float_softmax(rows, lengths).reshape(scores.shape)
+        if rows.shape[0] == 0:
+            # No rows, no kernel launch: nothing to cost.
+            return SoftmaxResult(
+                probabilities=probabilities,
+                cost=BackendCost(latency_s=0.0, energy_j=0.0),
+                backend=self.spec.name,
+            )
         # The kernel cost depends on batch * heads (total score rows); keep
         # that product exact even when the row count is not a multiple of
         # the head count (fall back to heads = 1 rather than rounding).
@@ -856,9 +816,9 @@ def resolve_backend(
     Parameters
     ----------
     spec_or_name:
-        A canonical backend name (or legacy alias — see
-        :data:`BACKEND_ALIASES`), a :class:`BackendSpec`, or an already
-        constructed backend (returned as-is, overrides rejected).
+        A canonical backend name (see :data:`BACKEND_NAMES`), a
+        :class:`BackendSpec`, or an already constructed backend (returned
+        as-is, overrides rejected).
     overrides:
         :class:`BackendSpec` fields (``precision``, ``sequence_length``,
         ``num_heads``, ``engine``, ``options``) overriding the spec.

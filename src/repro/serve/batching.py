@@ -31,6 +31,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.validation import integer_lengths
+
 __all__ = [
     "CoalescedBatch",
     "RequestSlice",
@@ -62,13 +64,7 @@ def as_request_matrix(
         raise ValueError(f"empty request of shape {matrix.shape}")
     lengths: Optional[np.ndarray] = None
     if valid_lengths is not None:
-        lengths = np.asarray(valid_lengths)
-        if not np.issubdtype(lengths.dtype, np.integer):
-            # A cast would truncate [[2.9]] to [2] and serve it silently.
-            raise ValueError(
-                f"valid_lengths must be integers, got dtype {lengths.dtype}"
-            )
-        lengths = lengths.astype(np.int64).reshape(-1)
+        lengths = integer_lengths(valid_lengths).reshape(-1)
         if lengths.shape != (matrix.shape[0],):
             raise ValueError(
                 f"valid_lengths must hold one entry per request row "

@@ -7,7 +7,9 @@ reported where it happens rather than deep inside a simulation loop.
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
+from typing import Any, Iterable, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -17,6 +19,7 @@ __all__ = [
     "check_in_choices",
     "check_probability",
     "check_positive",
+    "integer_lengths",
 ]
 
 
@@ -62,3 +65,20 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
+
+
+def integer_lengths(valid_lengths: Any) -> np.ndarray:
+    """Return ``valid_lengths`` as an int64 array, rejecting other dtypes.
+
+    A cast would truncate ``[2.7, 3.2]`` to ``[2, 3]`` and return a
+    plausible answer for lengths the caller never asked for, so a
+    non-integer dtype raises ``ValueError``.  An empty sequence (whose
+    default numpy dtype is float64) is accepted.  Shape and range checks
+    stay with the caller, which knows its row count and width.
+    """
+    lengths = np.asarray(valid_lengths)
+    if lengths.size and not np.issubdtype(lengths.dtype, np.integer):
+        raise ValueError(
+            f"valid_lengths must be integers, got dtype {lengths.dtype}"
+        )
+    return lengths.astype(np.int64, copy=False)

@@ -4,8 +4,8 @@ The contract under test: ``model.generate`` with ``use_cache=True``
 (incremental per-layer KV-cache decode) emits **identical token ids** to
 ``use_cache=False`` (naive re-prefill of the growing sequence every step)
 — for greedy and seeded temperature/top-k sampling, ragged prompt
-batches, every sweep-legal backend, both functional AP engines and the
-legacy row-by-row softmax contract.  Plus unit coverage of the
+batches, every sweep-legal backend, every functional AP engine and the
+seed's per-prefix-length integer baseline.  Plus unit coverage of the
 :class:`~repro.llm.generate.KVCache` growth and the argument validation.
 """
 
@@ -22,8 +22,11 @@ from repro.llm.model import TinyLlamaModel
 from repro.llm.trainer import Trainer
 from repro.mapping.plan import ExecutionPlan, width_class
 from repro.quant.precision import PrecisionConfig
-from repro.runtime.backend import resolve_backend
-from repro.experiments.table3_4_perplexity import PRECISION_SWEEP_BACKENDS
+from repro.runtime.backend import BackendSpec, resolve_backend
+from repro.experiments.table3_4_perplexity import (
+    PRECISION_SWEEP_BACKENDS,
+    _SeedGroupedIntegerBackend,
+)
 
 PRECISION = PrecisionConfig(6, 0, 16)
 
@@ -39,14 +42,14 @@ def trained():
     return model, corpus
 
 
-def _backend_fn(model, name, engine=None):
+def _resolved_backend(model, name, engine=None):
     return resolve_backend(
         name,
         precision=PRECISION,
         num_heads=model.config.num_heads,
         sequence_length=model.config.max_context,
         engine=engine,
-    ).softmax_fn()
+    )
 
 
 def _prompts(model, corpus, batch, width):
@@ -151,9 +154,9 @@ class TestBackendParity:
     def test_sweep_backends_match_reprefill(self, trained, backend):
         model, corpus = trained
         prompts = _prompts(model, corpus, 2, 8)
-        fn = _backend_fn(model, backend)
-        cached = model.generate(prompts, 6, softmax_fn=fn, use_cache=True)
-        baseline = model.generate(prompts, 6, softmax_fn=fn, use_cache=False)
+        resolved = _resolved_backend(model, backend)
+        cached = model.generate(prompts, 6, backend=resolved, use_cache=True)
+        baseline = model.generate(prompts, 6, backend=resolved, use_cache=False)
         assert np.array_equal(cached, baseline)
 
     @pytest.mark.parametrize("backend", PRECISION_SWEEP_BACKENDS)
@@ -161,32 +164,36 @@ class TestBackendParity:
         model, corpus = trained
         prompts = _prompts(model, corpus, 3, 9)
         lengths = np.array([4, 9, 6])
-        fn = _backend_fn(model, backend)
+        resolved = _resolved_backend(model, backend)
         cached = model.generate(prompts, 4, valid_lengths=lengths,
-                                softmax_fn=fn, use_cache=True)
+                                backend=resolved, use_cache=True)
         baseline = model.generate(prompts, 4, valid_lengths=lengths,
-                                  softmax_fn=fn, use_cache=False)
+                                  backend=resolved, use_cache=False)
         assert np.array_equal(cached, baseline)
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference", "compiled"])
     def test_cluster_engines_match_reprefill(self, trained, engine):
         model, corpus = trained
         prompts = _prompts(model, corpus, 2, 6)
-        fn = _backend_fn(model, "ap-cluster", engine=engine)
-        cached = model.generate(prompts, 3, softmax_fn=fn, use_cache=True)
-        baseline = model.generate(prompts, 3, softmax_fn=fn, use_cache=False)
+        resolved = _resolved_backend(model, "ap-cluster", engine=engine)
+        cached = model.generate(prompts, 3, backend=resolved, use_cache=True)
+        baseline = model.generate(prompts, 3, backend=resolved, use_cache=False)
         assert np.array_equal(cached, baseline)
 
     def test_rowwise_legacy_callable_matches_reprefill(self, trained):
-        from repro.softmax.integer_softmax import IntegerSoftmax
-
+        """The seed's per-prefix-length integer grouping decodes the same
+        tokens cached and re-prefilled, and the same as the masked
+        single-call integer backend."""
         model, corpus = trained
-        fn = IntegerSoftmax(PRECISION)  # plain 1-D callable contract
-        assert not getattr(fn, "supports_batch", False)
+        grouped = _SeedGroupedIntegerBackend(PRECISION)
         prompts = _prompts(model, corpus, 2, 7)
-        cached = model.generate(prompts, 4, softmax_fn=fn, use_cache=True)
-        baseline = model.generate(prompts, 4, softmax_fn=fn, use_cache=False)
+        cached = model.generate(prompts, 4, backend=grouped, use_cache=True)
+        baseline = model.generate(prompts, 4, backend=grouped, use_cache=False)
         assert np.array_equal(cached, baseline)
+        masked = model.generate(
+            prompts, 4, backend=_resolved_backend(model, "integer")
+        )
+        assert np.array_equal(cached, masked)
 
     def test_backend_selector_matches_resolved_fn(self, trained):
         model, corpus = trained
@@ -202,7 +209,7 @@ class TestBackendParity:
             ),
         )
         via_fn = model.generate(
-            prompts, 5, softmax_fn=_backend_fn(model, "integer")
+            prompts, 5, backend=BackendSpec("integer", precision=PRECISION)
         )
         assert np.array_equal(via_backend, via_fn)
 
@@ -297,12 +304,6 @@ class TestKVCache:
 
 
 class TestValidation:
-    def test_mutually_exclusive_softmax_selectors(self, trained):
-        model, _ = trained
-        with pytest.raises(ValueError, match="either softmax_fn or backend"):
-            model.generate(np.arange(4), 2, softmax_fn=lambda s: s,
-                           backend="float")
-
     def test_prompt_shape(self, trained):
         model, _ = trained
         with pytest.raises(ValueError, match="prompt batch"):

@@ -16,18 +16,13 @@ from hypothesis import strategies as st
 from repro.llm.config import LlamaConfig
 from repro.llm.dataset import make_corpus
 from repro.llm.model import TinyLlamaModel
-from repro.llm.perplexity import (
-    INFERENCE_PATHS,
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.llm.perplexity import INFERENCE_PATHS, evaluate_perplexity
 from repro.llm.trainer import Trainer
 from repro.quant.precision import PrecisionConfig
-from repro.runtime.backend import resolve_backend
+from repro.runtime.backend import BackendSpec, resolve_backend
 from repro.experiments.table3_4_perplexity import (
     PRECISION_SWEEP_BACKENDS,
-    _SeedGroupedIntegerSoftmaxFn,
+    _SeedGroupedIntegerBackend,
 )
 
 PRECISION = PrecisionConfig(6, 0, 16)
@@ -44,14 +39,14 @@ def trained():
     return model, corpus
 
 
-def _backend_fn(model, name, engine=None):
+def _resolved_backend(model, name, engine=None):
     return resolve_backend(
         name,
         precision=PRECISION,
         num_heads=model.config.num_heads,
         sequence_length=model.config.max_context,
         engine=engine,
-    ).softmax_fn()
+    )
 
 
 class TestInferForwardParity:
@@ -88,36 +83,41 @@ class TestInferForwardParity:
     def test_sweep_backends_bit_identical(self, trained, backend):
         model, corpus = trained
         tokens = corpus.validation_tokens[:14]
-        fn = _backend_fn(model, backend)
-        via_forward = model.forward(tokens, softmax_fn=fn).numpy()
-        assert np.array_equal(via_forward, model.infer(tokens, softmax_fn=fn))
+        resolved = _resolved_backend(model, backend)
+        via_forward = model.forward(tokens, backend=resolved).numpy()
+        assert np.array_equal(via_forward, model.infer(tokens, backend=resolved))
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference", "compiled"])
     def test_cluster_engines_bit_identical(self, trained, engine):
         """Every functional AP engine agrees between forward and infer."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:6]
-        fn = _backend_fn(model, "ap-cluster", engine=engine)
+        resolved = _resolved_backend(model, "ap-cluster", engine=engine)
         assert np.array_equal(
-            model.forward(tokens, softmax_fn=fn).numpy(),
-            model.infer(tokens, softmax_fn=fn),
+            model.forward(tokens, backend=resolved).numpy(),
+            model.infer(tokens, backend=resolved),
         )
 
     def test_rowwise_legacy_callable_bit_identical(self, trained):
+        """The batched integer backend under ``infer`` equals the seed's
+        per-prefix-length integer grouping (one ``IntegerSoftmax`` call per
+        causal prefix length) under the per-segment autograd forward."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:11]
-        with pytest.warns(DeprecationWarning):
-            fn = integer_softmax_fn(PRECISION)  # row-by-row contract
-        assert not getattr(fn, "supports_batch", False)
         assert np.array_equal(
-            model.forward(tokens, softmax_fn=fn).numpy(),
-            model.infer(tokens, softmax_fn=fn),
+            model.forward(
+                tokens, backend=_SeedGroupedIntegerBackend(PRECISION)
+            ).numpy(),
+            model.infer(tokens, backend=_resolved_backend(model, "integer")),
         )
 
     def test_backend_selector_matches_softmax_fn(self, trained):
+        """A name, a spec and a resolved backend select the same softmax."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:10]
-        via_fn = model.infer(tokens, softmax_fn=_backend_fn(model, "integer"))
+        via_fn = model.infer(
+            tokens, backend=BackendSpec("integer", precision=PRECISION)
+        )
         via_backend = model.infer(tokens, backend="integer")
         # Different BEST_PRECISION default vs PRECISION: resolve explicitly.
         via_spec = model.infer(
@@ -134,8 +134,6 @@ class TestInferForwardParity:
 
     def test_input_validation(self, trained):
         model, _ = trained
-        with pytest.raises(ValueError, match="either softmax_fn or backend"):
-            model.infer(np.arange(4), softmax_fn=lambda s: s, backend="float")
         with pytest.raises(ValueError, match="token batch"):
             model.infer(np.zeros((2, 2, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="max context"):
@@ -217,13 +215,13 @@ class TestEvaluatePerplexityParity:
     def test_sweep_backends_paths_identical(self, trained, backend):
         model, corpus = trained
         tokens = corpus.validation_tokens[:50]
-        fn = _backend_fn(model, backend)
         loop = evaluate_perplexity(
-            model, tokens, 16, softmax_fn=fn, inference_path="loop"
+            model, tokens, 16, backend=_resolved_backend(model, backend),
+            inference_path="loop",
         )
-        fn = _backend_fn(model, backend)
         batched = evaluate_perplexity(
-            model, tokens, 16, softmax_fn=fn, inference_path="batched"
+            model, tokens, 16, backend=_resolved_backend(model, backend),
+            inference_path="batched",
         )
         assert batched == loop
 
@@ -243,10 +241,10 @@ class TestEvaluatePerplexityParity:
         model, corpus = trained
         tokens = corpus.validation_tokens[:50]
         masked = evaluate_perplexity(
-            model, tokens, 16, softmax_fn=_backend_fn(model, "integer")
+            model, tokens, 16, backend=_resolved_backend(model, "integer")
         )
         grouped = evaluate_perplexity(
-            model, tokens, 16, softmax_fn=_SeedGroupedIntegerSoftmaxFn(PRECISION)
+            model, tokens, 16, backend=_SeedGroupedIntegerBackend(PRECISION)
         )
         assert masked == grouped
 
@@ -324,12 +322,3 @@ class TestInferenceCaches:
             bad["final_norm"] = np.ones(3)
             clone.load_state_dict(bad)
 
-
-class TestDeprecatedShims:
-    def test_integer_softmax_fn_warns(self):
-        with pytest.warns(DeprecationWarning, match="integer_softmax_fn"):
-            integer_softmax_fn(PRECISION)
-
-    def test_ap_cluster_softmax_fn_warns(self):
-        with pytest.warns(DeprecationWarning, match="ap_cluster_softmax_fn"):
-            ap_cluster_softmax_fn(2, PRECISION, sequence_length=8)

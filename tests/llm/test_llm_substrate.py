@@ -7,20 +7,20 @@ import pytest
 from repro.llm.config import LLAMA2_13B, LLAMA2_70B, LLAMA2_7B, LlamaConfig, TINY_LLAMA
 from repro.llm.dataset import make_corpus
 from repro.llm.model import TinyLlamaModel
-from repro.llm.perplexity import (
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.experiments.table3_4_perplexity import _SeedGroupedIntegerBackend
+from repro.llm.perplexity import evaluate_perplexity
 from repro.llm.tokenizer import WordTokenizer
 from repro.llm.trainer import Trainer
 from repro.quant.precision import PrecisionConfig
-from repro.softmax.reference import softmax
+from repro.runtime.backend import BackendSpec, resolve_backend
 
-# This suite deliberately exercises the deprecated integer_softmax_fn /
-# ap_cluster_softmax_fn shims (their legacy contracts must keep working);
-# the DeprecationWarning itself is pinned in tests/llm/test_infer.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def _raw_integer(config):
+    """The software pipeline with the raw Barrett quotient — the AP's
+    arithmetic, so its probabilities equal ``ap-cluster``'s bit for bit."""
+    return BackendSpec(
+        "integer", precision=config, options={"barrett_correction": False}
+    )
 
 
 class TestLlamaConfigs:
@@ -126,8 +126,7 @@ class TestModelAndTraining:
         tokens = corpus.validation_tokens[:40]
         fp = evaluate_perplexity(model, tokens, segment_length=32)
         replaced = evaluate_perplexity(
-            model, tokens, segment_length=32,
-            softmax_fn=lambda scores: softmax(scores),
+            model, tokens, segment_length=32, backend="float"
         )
         assert replaced == pytest.approx(fp, rel=1e-9)
 
@@ -137,7 +136,7 @@ class TestModelAndTraining:
         fp = evaluate_perplexity(model, tokens, segment_length=32)
         m8 = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=integer_softmax_fn(PrecisionConfig(8, 0, 16)),
+            backend=BackendSpec("integer", precision=PrecisionConfig(8, 0, 16)),
         )
         assert m8 >= fp - 1e-6
         assert m8 < 2.0 * fp
@@ -145,40 +144,48 @@ class TestModelAndTraining:
     def test_m4_worse_than_m8(self, trained_model):
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:40]
-        m8 = evaluate_perplexity(model, tokens, segment_length=32,
-                                 softmax_fn=integer_softmax_fn(PrecisionConfig(8, 0, 16)))
-        m4 = evaluate_perplexity(model, tokens, segment_length=32,
-                                 softmax_fn=integer_softmax_fn(PrecisionConfig(4, 0, 16)))
+        m8 = evaluate_perplexity(
+            model, tokens, segment_length=32,
+            backend=BackendSpec("integer", precision=PrecisionConfig(8, 0, 16)),
+        )
+        m4 = evaluate_perplexity(
+            model, tokens, segment_length=32,
+            backend=BackendSpec("integer", precision=PrecisionConfig(4, 0, 16)),
+        )
         assert m4 >= m8
 
     def test_batched_softmax_fn_matches_row_by_row_bit_exactly(self, trained_model):
-        """The extended (rows, seq) softmax_fn contract must reproduce the
-        row-by-row replacement path bit for bit (same integer pipeline,
-        same causal prefixes — only the batching differs)."""
+        """One masked integer call per layer must reproduce the seed's
+        per-prefix-length grouping bit for bit (same integer pipeline, same
+        causal prefixes — only the batching differs)."""
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:30]
         config = PrecisionConfig(6, 0, 16)
-        row = model.forward(tokens, softmax_fn=integer_softmax_fn(config)).numpy()
-        batched = model.forward(
-            tokens, softmax_fn=integer_softmax_fn(config, batched=True)
+        grouped = model.forward(
+            tokens, backend=_SeedGroupedIntegerBackend(config)
         ).numpy()
-        assert np.array_equal(row, batched)
+        batched = model.forward(
+            tokens, backend=BackendSpec("integer", precision=config)
+        ).numpy()
+        assert np.array_equal(grouped, batched)
 
     def test_batched_software_fn_1d_contract_matches_cluster_adapter(self):
-        """Both batched adapters must honour valid_lengths on the 1-D
-        convenience path identically (zeros beyond the prefix)."""
+        """The software and cluster backends must honour valid_lengths on
+        the 1-D convenience path identically (zeros beyond the prefix)."""
         rng = np.random.default_rng(11)
         scores = rng.normal(0, 2, 8)
         config = PrecisionConfig(6, 0, 16)
-        software = integer_softmax_fn(config, batched=True, barrett_correction=False)
-        ap_backed = ap_cluster_softmax_fn(2, config, sequence_length=8)
+        software = resolve_backend(_raw_integer(config))
+        ap_backed = resolve_backend(
+            "ap-cluster", num_heads=2, precision=config, sequence_length=8
+        )
         lengths = np.array([3])
         assert np.array_equal(
-            software(scores, valid_lengths=lengths),
-            ap_backed(scores, valid_lengths=lengths),
+            software.run(scores, valid_lengths=lengths).probabilities,
+            ap_backed.run(scores, valid_lengths=lengths).probabilities,
         )
         with pytest.raises(ValueError):
-            software(scores, valid_lengths=np.array([3, 4]))
+            software.run(scores, valid_lengths=np.array([3, 4]))
 
     def test_ap_cluster_forward_matches_software_bit_exactly(self, trained_model):
         """End-to-end AP-backed attention: logits with the softmax executed
@@ -187,16 +194,11 @@ class TestModelAndTraining:
         model, corpus, _ = trained_model
         tokens = corpus.validation_tokens[:30]
         config = PrecisionConfig(6, 0, 16)
-        software = model.forward(
-            tokens,
-            softmax_fn=integer_softmax_fn(
-                config, batched=True, barrett_correction=False
-            ),
-        ).numpy()
+        software = model.forward(tokens, backend=_raw_integer(config)).numpy()
         ap_backed = model.forward(
             tokens,
-            softmax_fn=ap_cluster_softmax_fn(
-                model.config.num_heads, config, sequence_length=tokens.size
+            backend=BackendSpec(
+                "ap-cluster", precision=config, sequence_length=tokens.size
             ),
         ).numpy()
         assert np.array_equal(software, ap_backed)
@@ -206,15 +208,12 @@ class TestModelAndTraining:
         tokens = corpus.validation_tokens[:40]
         config = PrecisionConfig(6, 0, 16)
         software = evaluate_perplexity(
-            model, tokens, segment_length=32,
-            softmax_fn=integer_softmax_fn(
-                config, batched=True, barrett_correction=False
-            ),
+            model, tokens, segment_length=32, backend=_raw_integer(config)
         )
         ap_backed = evaluate_perplexity(
             model, tokens, segment_length=32,
-            softmax_fn=ap_cluster_softmax_fn(
-                model.config.num_heads, config, sequence_length=32
+            backend=BackendSpec(
+                "ap-cluster", precision=config, sequence_length=32
             ),
         )
         assert ap_backed == software

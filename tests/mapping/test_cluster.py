@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mapping.cluster import ApCluster, ClusterSoftmaxFn
+from repro.mapping.cluster import ApCluster
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
@@ -87,15 +87,15 @@ class TestExecute:
 
 
 class TestSoftmaxFnAdapter:
+    """The cluster's own backend (``as_backend().run``) on the LLM layout."""
+
     def test_head_major_stacking_round_trip(self):
         rng = np.random.default_rng(6)
         heads, batch, seq = 3, 4, 9
         scores = rng.normal(0, 2, (batch, heads, seq))
         cluster = ApCluster(num_heads=heads, sequence_length=seq)
-        fn = cluster.softmax_fn()
-        assert isinstance(fn, ClusterSoftmaxFn) and fn.supports_batch
         stacked = scores.transpose(1, 0, 2).reshape(heads * batch, seq)
-        out = fn(stacked)
+        out = cluster.as_backend().run(stacked).probabilities
         assert np.array_equal(
             out.reshape(heads, batch, seq).transpose(1, 0, 2),
             cluster.execute(scores),
@@ -106,8 +106,8 @@ class TestSoftmaxFnAdapter:
         heads, t = 2, 6
         scores = rng.normal(0, 2, (heads * t, t))
         lengths = np.tile(np.arange(1, t + 1), heads)
-        fn = ApCluster(num_heads=heads, sequence_length=t).softmax_fn()
-        out = fn(scores, valid_lengths=lengths)
+        backend = ApCluster(num_heads=heads, sequence_length=t).as_backend()
+        out = backend.run(scores, valid_lengths=lengths).probabilities
         software = software_pipeline()
         for row in range(heads * t):
             length = lengths[row]
@@ -117,27 +117,29 @@ class TestSoftmaxFnAdapter:
     def test_one_dimensional_convenience(self):
         rng = np.random.default_rng(8)
         scores = rng.normal(0, 2, 11)
-        fn = ApCluster(num_heads=4, sequence_length=11).softmax_fn()
-        assert np.array_equal(fn(scores), software_pipeline()(scores))
+        backend = ApCluster(num_heads=4, sequence_length=11).as_backend()
+        assert np.array_equal(
+            backend.run(scores).probabilities, software_pipeline()(scores)
+        )
 
     def test_one_dimensional_path_honours_capacity_and_lengths(self):
         rng = np.random.default_rng(9)
-        fn = ApCluster(num_heads=4, sequence_length=8).softmax_fn()
+        backend = ApCluster(num_heads=4, sequence_length=8).as_backend()
         with pytest.raises(ValueError):
-            fn(np.zeros(9))  # beyond the provisioned length
+            backend.run(np.zeros(9))  # beyond the provisioned length
         scores = rng.normal(0, 2, 8)
-        out = fn(scores, valid_lengths=np.array([3]))
+        out = backend.run(scores, valid_lengths=np.array([3])).probabilities
         assert np.all(out[3:] == 0.0)
         assert np.array_equal(out[:3], software_pipeline()(scores[:3]))
         with pytest.raises(ValueError):
-            fn(scores, valid_lengths=np.array([3, 4]))
+            backend.run(scores, valid_lengths=np.array([3, 4]))
 
     def test_rejects_row_counts_not_divisible_by_heads(self):
-        fn = ApCluster(num_heads=3, sequence_length=8).softmax_fn()
-        with pytest.raises(ValueError):
-            fn(np.zeros((4, 8)))
-        with pytest.raises(ValueError):
-            fn(np.zeros((2, 3, 8)))
+        backend = ApCluster(num_heads=3, sequence_length=8).as_backend()
+        with pytest.raises(ValueError, match="multiple of the cluster head"):
+            backend.run(np.zeros((4, 8)))
+        with pytest.raises(ValueError, match="4 heads, cluster has 3"):
+            backend.run(np.zeros((2, 4, 8)))
 
 
 class TestCostAndSchedule:

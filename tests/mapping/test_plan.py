@@ -17,7 +17,6 @@ from repro.ap.engine import (
 )
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.llm.config import LLAMA2_7B
-from repro.llm.perplexity import ap_cluster_softmax_fn
 from repro.mapping.cluster import ApCluster
 from repro.mapping.deployment import ApDeployment
 from repro.mapping.plan import (
@@ -28,7 +27,7 @@ from repro.mapping.plan import (
 )
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION
-from repro.runtime.backend import BackendSpec, resolve_backend
+from repro.runtime.backend import BackendSpec, resolve_backend, resolve_model_backend
 from repro.softmax.integer_softmax import IntegerSoftmax
 
 
@@ -308,9 +307,8 @@ def _forward_on_ap_engine(monkeypatch):
 
 
 def _cluster_softmax_fn_engine(monkeypatch):
-    with pytest.warns(DeprecationWarning):
-        softmax_fn = ap_cluster_softmax_fn(2, BEST_PRECISION, 8)
-    return softmax_fn.backend.engine
+    """The engine of the cluster backend the LLM substrate resolves."""
+    return resolve_model_backend("ap-cluster", 2, 8).engine
 
 
 class TestDefaultEngine:

@@ -256,9 +256,6 @@ class _SlowBackend:
         time.sleep(self.delay_s)
         return SoftmaxResult(probabilities=np.asarray(scores, dtype=float))
 
-    def softmax_fn(self):
-        return lambda s: np.asarray(s)
-
 
 class TestCloseDrain:
     def test_in_flight_tick_requests_get_server_closed(self):

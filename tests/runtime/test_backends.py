@@ -5,16 +5,13 @@ import pytest
 
 from repro.gpu.softmax_model import GpuSoftmaxModel
 from repro.gpu.spec import A100, RTX3090
-from repro.llm.perplexity import (
-    ap_cluster_softmax_fn,
-    evaluate_perplexity,
-    integer_softmax_fn,
-)
+from repro.llm.perplexity import evaluate_perplexity
 from repro.mapping.cluster import ApCluster
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.runtime.backend import (
     BACKEND_NAMES,
+    BackendCost,
     BackendSpec,
     SoftmaxBackend,
     UnknownBackendError,
@@ -23,11 +20,6 @@ from repro.runtime.backend import (
 )
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
-
-# This suite deliberately exercises the deprecated integer_softmax_fn /
-# ap_cluster_softmax_fn shims (legacy-vs-new parity pins); the warning
-# itself is pinned in tests/llm/test_infer.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture
@@ -47,11 +39,13 @@ class TestResolution:
         assert isinstance(backend, SoftmaxBackend)
         assert backend.spec.name == name
 
-    def test_aliases_resolve_to_canonical_names(self):
-        assert canonical_backend_name("software") == "integer"
-        assert canonical_backend_name("software-batched") == "integer"
-        assert canonical_backend_name("fp") == "float"
-        assert canonical_backend_name("gpu") == "gpu-analytical"
+    def test_legacy_aliases_are_unknown_backends(self):
+        """Only canonical names resolve; the old aliases are typos now."""
+        for name in ("fp", "fp32", "software", "software-batched", "gpu"):
+            with pytest.raises(UnknownBackendError):
+                canonical_backend_name(name)
+            with pytest.raises(UnknownBackendError):
+                BackendSpec(name=name)
 
     def test_unknown_name_suggests_closest(self):
         with pytest.raises(UnknownBackendError, match="did you mean 'ap-cluster'"):
@@ -60,8 +54,7 @@ class TestResolution:
             canonical_backend_name("intger")
 
     def test_spec_round_trip_and_overrides(self):
-        spec = BackendSpec(name="software", precision=PrecisionConfig(8, 0, 16))
-        assert spec.name == "integer"  # aliases canonicalise eagerly
+        spec = BackendSpec(name="integer", precision=PrecisionConfig(8, 0, 16))
         backend = resolve_backend(spec)
         assert backend.spec is spec
         overridden = resolve_backend(spec, precision=PrecisionConfig(4, 0, 16))
@@ -86,9 +79,6 @@ class TestResolution:
             def run(self, scores, valid_lengths=None):
                 return SoftmaxResult(probabilities=np.asarray(scores) * 0.0)
 
-            def softmax_fn(self):
-                return lambda s: np.asarray(s) * 0.0
-
         backend = ConstantBackend()
         assert resolve_backend(backend) is backend
 
@@ -98,14 +88,28 @@ class TestResolution:
         with pytest.raises(ValueError, match="num_heads"):
             resolve_backend("ap-cluster", sequence_length=16)
 
-    @pytest.mark.parametrize(
-        "name", ["float", "integer", "ap", "ap-batch", "ap-cluster"]
-    )
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_empty_batch_returns_an_empty_result(self, name):
         backend = resolve_backend(name, num_heads=2, sequence_length=16)
-        empty = np.zeros((0, 16))
-        assert backend.run(empty).probabilities.shape == (0, 16)
-        assert backend.run_rows(empty).probabilities.shape == (0, 16)
+        for run in (backend.run, backend.run_rows):
+            result = run(np.zeros((0, 16)))
+            assert result.probabilities.shape == (0, 16)
+            if name == "gpu-analytical":
+                # No rows, no kernel: nothing is costed.
+                assert result.cost == BackendCost(0.0, 0.0)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_fractional_valid_lengths_are_rejected(self, name, scores):
+        """A cast would truncate [2.7, ...] to [2, ...] and return a
+        plausible answer for lengths nobody asked for."""
+        backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        lengths = np.array([2.7, 3.2, 16.0, 1.0, 5.5, 8.0])
+        for run in (backend.run, backend.run_rows):
+            with pytest.raises(ValueError, match="must be integers"):
+                run(scores, valid_lengths=lengths)
+        # Integer-valued lengths in any integer dtype still work.
+        for dtype in (np.int32, np.int64, np.uint8):
+            backend.run(scores, valid_lengths=np.ceil(lengths).astype(dtype))
 
 
 class TestProbabilityParity:
@@ -120,6 +124,10 @@ class TestProbabilityParity:
         backend = resolve_backend("integer", precision=BEST_PRECISION)
         expected = IntegerSoftmax(BEST_PRECISION)(scores)
         assert np.array_equal(backend.run(scores).probabilities, expected)
+        vector = scores[0, :9]
+        assert np.array_equal(
+            backend.run(vector).probabilities, IntegerSoftmax(BEST_PRECISION)(vector)
+        )
 
     def test_integer_masked_matches_per_row_prefixes(self, scores, lengths):
         backend = resolve_backend("integer")
@@ -151,11 +159,13 @@ class TestProbabilityParity:
         )
 
     def test_ap_cluster_matches_legacy_adapter(self, rng):
+        """A resolved 'ap-cluster' backend equals the cluster's own
+        as_backend() wrapper on the head-major layout."""
         heads, batch, seq = 3, 4, 12
         tensor = rng.normal(0.0, 2.0, size=(batch, heads, seq))
         head_major = tensor.transpose(1, 0, 2).reshape(heads * batch, seq)
         cluster = ApCluster(num_heads=heads, sequence_length=seq)
-        legacy = cluster.softmax_fn()(head_major)
+        legacy = cluster.as_backend().run(head_major).probabilities
         backend = resolve_backend("ap-cluster", num_heads=heads, sequence_length=seq)
         assert np.array_equal(backend.run(head_major).probabilities, legacy)
         # The 3-D entry point agrees with the cluster's native execute().
@@ -251,37 +261,33 @@ class TestCostTelemetry:
         assert backend.telemetry.calls == 0 and backend.telemetry.energy_j == 0.0
 
     def test_cluster_shim_exposes_runtime_telemetry(self, rng):
-        cluster = ApCluster(num_heads=2, sequence_length=8)
-        fn = cluster.softmax_fn()
-        fn(rng.normal(0.0, 2.0, size=(4, 8)))
-        telemetry = fn.runtime_backend().telemetry
+        backend = ApCluster(num_heads=2, sequence_length=8).as_backend()
+        backend.run(rng.normal(0.0, 2.0, size=(4, 8)))
+        telemetry = backend.telemetry
         assert telemetry.calls == 1 and telemetry.energy_j > 0
 
 
 class TestLegacyShims:
-    def test_integer_softmax_fn_unbatched_has_no_batch_flag(self, rng):
-        fn = integer_softmax_fn(PrecisionConfig(8, 0, 16))
-        assert not getattr(fn, "supports_batch", False)
-        vector = rng.normal(0.0, 2.0, size=9)
-        assert np.array_equal(fn(vector), IntegerSoftmax(PrecisionConfig(8, 0, 16))(vector))
+    """Batched backend calls against their one-row-at-a-time equivalents."""
 
     def test_integer_softmax_fn_batched_matches_unbatched(self, scores):
         config = PrecisionConfig(6, 0, 16)
-        batched = integer_softmax_fn(config, batched=True)
-        assert batched.supports_batch
-        unbatched = integer_softmax_fn(config)
-        rows = np.stack([unbatched(row) for row in scores])
-        assert np.array_equal(batched(scores), rows)
+        backend = resolve_backend("integer", precision=config)
+        rows = np.stack([backend.run(row).probabilities for row in scores])
+        assert np.array_equal(backend.run(scores).probabilities, rows)
 
     def test_ap_cluster_softmax_fn_matches_backend(self, rng):
         heads, t = 2, 6
         scores = rng.normal(0.0, 2.0, size=(heads * t, t))
         config = PrecisionConfig(6, 0, 16)
-        legacy = ap_cluster_softmax_fn(heads, config, sequence_length=t)
+        cluster = ApCluster(num_heads=heads, precision=config, sequence_length=t)
         backend = resolve_backend(
             "ap-cluster", num_heads=heads, precision=config, sequence_length=t
         )
-        assert np.array_equal(legacy(scores), backend.run(scores).probabilities)
+        assert np.array_equal(
+            cluster.as_backend().run(scores).probabilities,
+            backend.run(scores).probabilities,
+        )
 
 
 class TestModelIntegration:
@@ -292,23 +298,29 @@ class TestModelIntegration:
         return train_reference_model(training_steps=40)
 
     def test_forward_backend_matches_softmax_fn(self, trained):
+        """A spec and an already-resolved backend give the same logits."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:24]
         config = PrecisionConfig(8, 0, 16)
-        via_fn = model.forward(
-            tokens, softmax_fn=integer_softmax_fn(config, batched=True)
+        via_resolved = model.forward(
+            tokens,
+            backend=resolve_backend(
+                "integer",
+                precision=config,
+                num_heads=model.config.num_heads,
+                sequence_length=model.config.max_context,
+            ),
         ).numpy()
         via_backend = model.forward(
             tokens, backend=BackendSpec(name="integer", precision=config)
         ).numpy()
-        assert np.array_equal(via_fn, via_backend)
-        with pytest.raises(ValueError):
-            model.forward(tokens, softmax_fn=integer_softmax_fn(config), backend="integer")
+        assert np.array_equal(via_resolved, via_backend)
 
     def test_perplexity_ap_cluster_backend_parity_pinned(self, trained):
-        """Acceptance pin: the 'ap-cluster' backend reached through the new
-        runtime API must be bit-identical (identical perplexity float) to
-        the legacy ap_cluster_softmax_fn path for one perplexity point."""
+        """Acceptance pin: the 'ap-cluster' backend reached by name must be
+        bit-identical (identical perplexity float) to the software pipeline
+        with the raw Barrett quotient, and to an explicitly built cluster's
+        own backend, for one perplexity point."""
         model, corpus = trained
         tokens = corpus.validation_tokens[:97]
         config = PrecisionConfig(8, 0, 16)
@@ -316,10 +328,20 @@ class TestModelIntegration:
             model,
             tokens,
             segment_length=48,
-            softmax_fn=ap_cluster_softmax_fn(
+            backend=ApCluster(
                 num_heads=model.config.num_heads,
                 precision=config,
                 sequence_length=model.config.max_context,
+            ).as_backend(),
+        )
+        software = evaluate_perplexity(
+            model,
+            tokens,
+            segment_length=48,
+            backend=BackendSpec(
+                "integer",
+                precision=config,
+                options={"barrett_correction": False},
             ),
         )
         unified = evaluate_perplexity(
@@ -328,7 +350,7 @@ class TestModelIntegration:
             segment_length=48,
             backend=BackendSpec(name="ap-cluster", precision=config),
         )
-        assert unified == legacy  # exact float equality, not approx
+        assert unified == legacy == software  # exact float equality
 
     def test_perplexity_sweep_rejects_precision_ignoring_backends(self):
         """The Tables III/IV sweep varies PrecisionConfig per row; backends
@@ -336,17 +358,8 @@ class TestModelIntegration:
         baseline everywhere and must be rejected before training starts."""
         from repro.experiments.table3_4_perplexity import run_perplexity_sweep
 
-        for name in ("float", "fp", "gpu-analytical"):
+        for name in ("float", "gpu-analytical"):
             with pytest.raises(ValueError, match="ignores the per-point"):
                 run_perplexity_sweep(softmax_backend=name)
-
-    def test_perplexity_rejects_both_selectors(self, trained):
-        model, corpus = trained
-        with pytest.raises(ValueError):
-            evaluate_perplexity(
-                model,
-                corpus.validation_tokens[:10],
-                segment_length=8,
-                softmax_fn=integer_softmax_fn(BEST_PRECISION),
-                backend="integer",
-            )
+        with pytest.raises(UnknownBackendError):
+            run_perplexity_sweep(softmax_backend="software")

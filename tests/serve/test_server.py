@@ -163,9 +163,6 @@ class TestThirdPartyBackends:
                     probabilities=np.asarray(scores, dtype=np.float64) * 0.5
                 )
 
-            def softmax_fn(self):
-                return lambda s: np.asarray(s) * 0.5
-
         backend = HalfBackend()
         assert rows_runner(backend) == backend.run
 

@@ -1,5 +1,6 @@
 """Tests for the text-table renderer and the validation helpers."""
 
+import numpy as np
 import pytest
 
 from repro.utils.tables import TextTable, format_float
@@ -9,6 +10,7 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
+    integer_lengths,
 )
 
 
@@ -85,3 +87,12 @@ class TestValidation:
         assert check_probability(0.5, "x") == 0.5
         with pytest.raises(ValueError):
             check_probability(1.5, "x")
+
+    def test_integer_lengths(self):
+        lengths = integer_lengths([3, 1])
+        assert lengths.dtype == np.int64 and lengths.tolist() == [3, 1]
+        assert integer_lengths(np.array([[2]], dtype=np.uint8)).shape == (1, 1)
+        assert integer_lengths([]).dtype == np.int64
+        for bad in ([2.7, 3.2], [2.0], [True]):
+            with pytest.raises(ValueError, match="must be integers"):
+                integer_lengths(bad)
