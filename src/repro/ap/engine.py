@@ -59,12 +59,13 @@ the ground truth for exact data-dependent write activity).  Latch writes
 whose tag popcount is already known (division flag/quotient writes, operand
 loads, field clears) are charged exactly.
 
-Engine registry
----------------
-The module also owns the functional-engine names every seam validates
-against: ``"reference"`` (the bit-serial ground truth), ``"vectorized"``
-(this per-operation engine) and the plan-only ``"compiled"`` engine
-(:class:`~repro.ap.compiled.CompiledEngine`, the one fast plan executor).
+Engine names
+------------
+The module also owns the three fixed functional-engine names every seam
+validates against: ``"reference"`` (the bit-serial ground truth),
+``"vectorized"`` (this per-operation engine) and the plan-only
+``"compiled"`` engine (:class:`~repro.ap.compiled.CompiledEngine`, the one
+fast plan executor).
 :data:`DEFAULT_ENGINE` — ``"compiled"`` — is the single owner of the
 default engine; at plan level the two processor engines interpret the
 lowered program on the functional AP, so a serving fallback chain reads
@@ -75,8 +76,6 @@ from __future__ import annotations
 
 import difflib
 import itertools
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,90 +87,33 @@ __all__ = [
     "BitPlaneEngine",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
-    "EngineInfo",
+    "PROCESSOR_ENGINE_NAMES",
     "UnknownEngineError",
     "canonical_engine_name",
-    "engine_info",
-    "engine_names",
-    "processor_engine_names",
-    "register_engine",
 ]
 
 
 # --------------------------------------------------------------------------- #
-# Engine registry                                                              #
+# Engine names                                                                #
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class EngineInfo:
-    """One registered functional-engine implementation.
+#: Every functional-engine name, in the order error messages present them:
+#: the bit-serial LUT sweeps on the functional CAM (the paper-faithful
+#: ground truth), the packed-word :class:`BitPlaneEngine` (bit-identical to
+#: the reference) and the plan-only :class:`~repro.ap.compiled.CompiledEngine`
+#: (buffer-planned scratch-arena executor, bit-identical to both).
+ENGINE_NAMES: Tuple[str, ...] = ("reference", "vectorized", "compiled")
 
-    ``supports_processor`` marks engines that can back per-operation
-    :class:`~repro.ap.processor.AssociativeProcessor` sweeps (the bit-serial
-    reference and the packed-word :class:`BitPlaneEngine`).  The plan-only
-    ``"compiled"`` engine executes whole lowered
-    :class:`~repro.mapping.plan.ExecutionPlan` programs through
-    :class:`~repro.ap.compiled.CompiledEngine` but cannot serve individual
-    CAM instructions; every processor engine runs a plan by interpreting
-    it on the functional AP.
-    """
-
-    name: str
-    description: str
-    supports_processor: bool = True
-
-
-#: Name -> EngineInfo, in registration order (the order error messages and
-#: ``ENGINE_NAMES`` present them in).
-_ENGINES: "OrderedDict[str, EngineInfo]" = OrderedDict()
+#: Engines that can back per-operation
+#: :class:`~repro.ap.processor.AssociativeProcessor` sweeps.  ``"compiled"``
+#: executes whole lowered :class:`~repro.mapping.plan.ExecutionPlan`
+#: programs but cannot serve individual CAM instructions; every processor
+#: engine runs a plan by interpreting it on the functional AP.
+PROCESSOR_ENGINE_NAMES: Tuple[str, ...] = ("reference", "vectorized")
 
 #: The engine every plan-executing seam (plans, clusters, the ``ap`` /
 #: ``ap-batch`` / ``ap-cluster`` backends, ``forward_on_ap``, deployments)
 #: defaults to: the compiled fast path.
 DEFAULT_ENGINE = "compiled"
-
-
-def register_engine(
-    name: str,
-    description: str = "",
-    *,
-    supports_processor: bool = True,
-) -> EngineInfo:
-    """Register a functional-engine name with every selection seam at once.
-
-    Registration is the *only* step: mappings, clusters, plans, backend
-    specs, the CLI and the LLM paths all validate through
-    :func:`canonical_engine_name` and dispatch through :func:`engine_info`,
-    so a registered name flows through every seam without per-call-site
-    string lists.
-    """
-    if not isinstance(name, str) or not name:
-        raise TypeError("engine name must be a non-empty str")
-    if name in _ENGINES:
-        raise ValueError(f"engine {name!r} is already registered")
-    info = EngineInfo(
-        name=name,
-        description=description,
-        supports_processor=supports_processor,
-    )
-    _ENGINES[name] = info
-    return info
-
-
-def engine_names() -> Tuple[str, ...]:
-    """Every registered engine name, in registration order."""
-    return tuple(_ENGINES)
-
-
-def processor_engine_names() -> Tuple[str, ...]:
-    """Engines that can back per-operation ``AssociativeProcessor`` sweeps."""
-    return tuple(
-        name for name, info in _ENGINES.items() if info.supports_processor
-    )
-
-
-def engine_info(name: str) -> EngineInfo:
-    """The :class:`EngineInfo` registered under ``name`` (validated)."""
-    return _ENGINES[canonical_engine_name(name)]
 
 
 class UnknownEngineError(ValueError):
@@ -185,7 +127,7 @@ class UnknownEngineError(ValueError):
     """
 
     def __init__(self, name: str, valid: Optional[Sequence[str]] = None) -> None:
-        valid = tuple(valid) if valid is not None else engine_names()
+        valid = tuple(valid) if valid is not None else ENGINE_NAMES
         close = difflib.get_close_matches(str(name), valid, n=1, cutoff=0.5)
         hint = f" — did you mean {close[0]!r}?" if close else ""
         super().__init__(
@@ -197,7 +139,7 @@ class UnknownEngineError(ValueError):
 
 
 def canonical_engine_name(name: str, *, processor: bool = False) -> str:
-    """Validate a functional-engine name eagerly against the registry.
+    """Validate a functional-engine name eagerly against :data:`ENGINE_NAMES`.
 
     This is the single authority for engine strings; construction-time
     callers (mappings, plans, backends, the AP itself) resolve through here
@@ -209,18 +151,11 @@ def canonical_engine_name(name: str, *, processor: bool = False) -> str:
     """
     if not isinstance(name, str):
         raise TypeError(f"engine name must be a str, got {type(name).__name__}")
-    valid = processor_engine_names() if processor else engine_names()
+    valid = PROCESSOR_ENGINE_NAMES if processor else ENGINE_NAMES
     if name not in valid:
         raise UnknownEngineError(name, valid)
     return name
 
-
-def __getattr__(attr: str) -> Tuple[str, ...]:
-    # ENGINE_NAMES predates the registry; keep it as a live view so code
-    # (and docs) reading the historical tuple see later registrations too.
-    if attr == "ENGINE_NAMES":
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 #: Widest field the packed-word representation can hold.  One bit of headroom
 #: is kept below 64 so shifted sums/carries never wrap the host word.
@@ -754,27 +689,3 @@ class BitPlaneEngine:
         self._stats.written_bits += dest.bits * rows
         self._stats.row_writes += dest.bits * rows
         return level
-
-
-# --------------------------------------------------------------------------- #
-# Built-in engine registrations                                                #
-# --------------------------------------------------------------------------- #
-register_engine(
-    "reference",
-    "bit-serial LUT sweeps on the functional CAM — the paper-faithful "
-    "ground truth",
-    supports_processor=True,
-)
-register_engine(
-    "vectorized",
-    "packed-word BitPlaneEngine: whole row-batches per numpy operation, "
-    "bit-identical to the reference",
-    supports_processor=True,
-)
-register_engine(
-    "compiled",
-    "buffer-planned scratch-arena executor: the lowered program runs "
-    "in-place against preallocated uint64 slots, bit-identical to both "
-    "other engines (plan-only; the default)",
-    supports_processor=False,
-)

@@ -27,9 +27,9 @@ import numpy as np
 
 from repro.ap.cam import CamArray, CamStats
 from repro.ap.engine import (
+    PROCESSOR_ENGINE_NAMES,
     BitPlaneEngine,
     canonical_engine_name,
-    processor_engine_names,
 )
 from repro.ap.fields import Field, FieldAllocator
 from repro.ap.lut import (
@@ -79,11 +79,11 @@ class AssociativeProcessor:
     #: Name of the flag service column (used by division).
     FLAG = "__flag__"
 
-    #: Execution backends accepted by the constructor: the registered
-    #: engines that can serve per-operation CAM sweeps.  Plan-only engines
-    #: (e.g. ``"compiled"``) are rejected here — they execute whole lowered
-    #: programs, not individual instructions.
-    BACKENDS = processor_engine_names()
+    #: Execution backends accepted by the constructor: the engines that can
+    #: serve per-operation CAM sweeps.  The plan-only ``"compiled"`` engine
+    #: is rejected here — it executes whole lowered programs, not
+    #: individual instructions.
+    BACKENDS = PROCESSOR_ENGINE_NAMES
 
     def __init__(self, rows: int, columns: int, backend: str = "reference") -> None:
         check_positive_int(rows, "rows")

@@ -104,8 +104,8 @@ def run_generate_speed(
     provisioned shape) happens outside both timed windows — the report is
     pure generation time.  ``softmax_backend=None`` (or ``"float"``) runs
     the floating-point attention softmax; ``engine`` selects the
-    functional AP engine for the AP-family backends (any engine-registry
-    name, e.g. ``"compiled"``).
+    functional AP engine for the AP-family backends (``"compiled"``,
+    ``"vectorized"`` or ``"reference"``).
     """
     canonical = (
         "float"

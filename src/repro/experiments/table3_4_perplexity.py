@@ -160,7 +160,7 @@ def _sweep_backend(
     Resolution goes through the unified runtime API, so any registered
     backend name works here and a typo fails eagerly with a "did you
     mean" suggestion.  ``engine`` selects the functional AP engine for the
-    AP-family backends (any engine-registry name, e.g. ``"compiled"``);
+    AP-family backends (``"compiled"``, ``"vectorized"`` or ``"reference"``);
     the pure-software backends ignore it.
     """
     return resolve_backend(
@@ -332,7 +332,7 @@ def run_perplexity_sweep(
     telemetry — come back in the same deterministic order as the serial
     sweep, with identical floats.  ``None``/``1`` runs serially.
     ``engine`` selects the functional AP engine for the AP-family backends
-    (any engine-registry name — ``reference``/``vectorized``/``compiled``;
+    (``reference``/``vectorized``/``compiled``;
     results are pinned bit-identical across all of them).
 
     The pool is resilient to dying workers: a ``BrokenProcessPool`` (a

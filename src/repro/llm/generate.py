@@ -46,10 +46,10 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.llm.infer import _check_valid_lengths, _feed_forward, _forward_batch, infer
+from repro.llm.infer import _feed_forward, _forward_batch, infer
 from repro.llm.model import causal_batched_softmax
 from repro.nn.functional import rms_norm_forward, softmax_forward
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_valid_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.llm.model import TinyLlamaModel
@@ -213,7 +213,9 @@ def generate(
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     if top_k is not None:
         top_k = check_positive_int(top_k, "top_k")
-    lengths = _check_valid_lengths(valid_lengths, batch, width)
+    if valid_lengths is not None and np.ndim(valid_lengths) != 1:
+        raise ValueError("valid_lengths must be 1-D, one entry per segment")
+    lengths = check_valid_lengths(valid_lengths, batch, width)
     if lengths is None:
         lengths = np.full(batch, width, dtype=np.int64)
     total = int(lengths.max()) + max_new_tokens

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.llm.model import causal_batched_softmax
 from repro.nn.functional import rms_norm_forward, silu_forward, softmax_forward
-from repro.utils.validation import integer_lengths
+from repro.utils.validation import check_valid_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.llm.model import TinyLlamaModel
@@ -104,7 +104,11 @@ def infer(
         raise ValueError(
             f"sequence of length {t} exceeds max context {model.config.max_context}"
         )
-    lengths = _check_valid_lengths(valid_lengths, batch, t)
+    # A (B, 1) or (1, B) array would flatten to (B,), but almost certainly
+    # means the caller built the wrong layout: reject anything not 1-D.
+    if valid_lengths is not None and np.ndim(valid_lengths) != 1:
+        raise ValueError("valid_lengths must be 1-D, one entry per segment")
+    lengths = check_valid_lengths(valid_lengths, batch, t)
 
     if lengths is None or np.all(lengths == t):
         logits = _forward_batch(model, tokens, backend)
@@ -116,25 +120,6 @@ def infer(
                 model, tokens[rows][:, :length], backend
             )
     return logits[0] if squeeze else logits
-
-
-def _check_valid_lengths(
-    valid_lengths: Optional[np.ndarray], batch: int, t: int
-) -> Optional[np.ndarray]:
-    if valid_lengths is None:
-        return None
-    lengths = integer_lengths(valid_lengths)
-    # Strict shape check *before* any flattening: a (B, 1) or (1, B) array
-    # reshapes silently to (B,) but almost certainly means the caller built
-    # the wrong layout — reject anything that is not already 1-D.
-    if lengths.ndim != 1 or lengths.shape != (batch,):
-        raise ValueError(
-            f"valid_lengths must be 1-D and hold one entry per segment "
-            f"({batch}), got shape {lengths.shape}"
-        )
-    if np.any(lengths < 1) or np.any(lengths > t):
-        raise ValueError("valid_lengths must lie in 1..T for every segment")
-    return lengths
 
 
 def _forward_batch(

@@ -41,6 +41,7 @@ from repro.nn.functional import (
     silu,
     softmax_op,
 )
+from repro.utils.validation import check_valid_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.backend import SoftmaxBackend
@@ -94,17 +95,7 @@ def causal_batched_softmax(
         blocks = stacked.shape[0] // t
         lengths = np.tile(np.arange(1, t + 1, dtype=np.int64), blocks)
     else:
-        lengths = np.asarray(valid_lengths, dtype=np.int64)
-        if lengths.shape != (stacked.shape[0],):
-            raise ValueError(
-                f"valid_lengths must have shape ({stacked.shape[0]},) — one "
-                f"entry per score row — got {lengths.shape}"
-            )
-        if lengths.size and (lengths.min() < 1 or lengths.max() > t):
-            raise ValueError(
-                f"valid_lengths must lie in 1..{t}, got "
-                f"[{lengths.min()}, {lengths.max()}]"
-            )
+        lengths = check_valid_lengths(valid_lengths, stacked.shape[0], t)
     probabilities = np.asarray(
         backend.run(stacked, valid_lengths=lengths).probabilities,
         dtype=np.float64,

@@ -58,7 +58,7 @@ from repro.mapping.dataflow import StepKind
 from repro.mapping.plan import PlanTelemetry, WorkloadPass, plan_passes
 from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_valid_lengths
 
 __all__ = ["ApCluster", "ClusterCost", "ClusterSchedule"]
 
@@ -292,16 +292,12 @@ class ApCluster:
         self._check_capacity(seq)
         flat_lengths: Optional[np.ndarray] = None
         if valid_lengths is not None:
-            per_head_lengths = np.asarray(valid_lengths, dtype=np.int64)
-            if per_head_lengths.ndim == 1:
-                per_head_lengths = np.broadcast_to(
-                    per_head_lengths[:, None], (batch, heads)
-                )
-            if per_head_lengths.shape != (batch, heads):
-                raise ValueError(
-                    f"valid_lengths must have shape ({batch},) or "
-                    f"({batch}, {heads}), got {np.asarray(valid_lengths).shape}"
-                )
+            per_head_lengths = np.asarray(valid_lengths)
+            if per_head_lengths.ndim == 1:  # (batch,): shared by every head
+                per_head_lengths = np.repeat(per_head_lengths, heads)
+            per_head_lengths = check_valid_lengths(
+                per_head_lengths, batch * heads, seq
+            ).reshape(batch, heads)
             flat_lengths = per_head_lengths.T.reshape(-1)  # head-major rows
         stacked = scores.transpose(1, 0, 2).reshape(heads * batch, seq)
         fused = self._execute_rows(stacked, flat_lengths, backend=backend)
@@ -330,15 +326,7 @@ class ApCluster:
                 "ApCluster.execute_rows expects a (vectors, seq) row space"
             )
         self._check_capacity(rows.shape[1])
-        lengths: Optional[np.ndarray] = None
-        if valid_lengths is not None:
-            lengths = np.asarray(valid_lengths, dtype=np.int64).reshape(-1)
-            if lengths.shape != (rows.shape[0],):
-                raise ValueError(
-                    f"valid_lengths must hold one entry per row "
-                    f"({rows.shape[0]}), got shape "
-                    f"{np.asarray(valid_lengths).shape}"
-                )
+        lengths = check_valid_lengths(valid_lengths, *rows.shape)
         return self._execute_rows(rows, lengths, backend=backend)
 
     def _execute_rows(
@@ -385,8 +373,8 @@ class ApCluster:
         *this* cluster (no mappings are rebuilt) and exposes the uniform
         ``run(scores) -> SoftmaxResult`` contract — probabilities plus the
         concurrency-aware cost and plan telemetry of every pass.  ``engine``
-        optionally overrides the functional engine per backend (any
-        engine-registry name).
+        optionally overrides the functional engine per backend (any name in
+        :data:`~repro.ap.engine.ENGINE_NAMES`).
         """
         # Imported lazily: repro.runtime.backend imports this module.
         from repro.runtime.backend import ApClusterBackend

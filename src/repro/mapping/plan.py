@@ -63,8 +63,8 @@ from repro.ap.cost import ApCostModel, OperationCost
 from repro.ap.engine import (
     DEFAULT_ENGINE,
     MAX_FIELD_BITS,
+    PROCESSOR_ENGINE_NAMES,
     canonical_engine_name,
-    engine_info,
 )
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.ap.tech import TECH_16NM, TechnologyParameters
@@ -79,7 +79,11 @@ from repro.quant.quantizer import ClippedSoftmaxInputQuantizer
 from repro.reliability import faults
 from repro.softmax.polynomial import IExpPolynomial
 from repro.utils.bitwidth import bits_for_unsigned
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import (
+    check_non_negative_int,
+    check_positive_int,
+    check_valid_lengths,
+)
 
 __all__ = [
     "BufferPlan",
@@ -421,17 +425,12 @@ class PlanTelemetry:
     measured wall-clock of the execution that produced this telemetry (0.0
     where the caller did not time it).
 
-    Since the serving layer landed the record also describes cluster-wide
-    utilization: ``row_budget`` is the ``pass_row_budget`` the planner
-    tiled against (0 when unbudgeted — one pass holds the whole workload),
-    and ``queue_depth`` how many coalesced serving requests shared this
-    execution (0 outside the serving layer).  :attr:`words_total` /
-    :attr:`occupancy` derive the rows-used-vs-budget report from those.
-
-    Since the reliability layer, ``retries`` / ``backoff_ms`` record how
-    many serving-side retry attempts preceded the execution that finally
-    succeeded and the total backoff slept between them (both 0 outside
-    the serving layer's retry path).
+    The record also describes cluster-wide utilization: ``row_budget`` is
+    the ``pass_row_budget`` the planner tiled against (0 when unbudgeted —
+    one pass holds the whole workload), and :attr:`words_total` /
+    :attr:`occupancy` derive the rows-used-vs-budget report from it.
+    Serving-side facts (how many requests shared a tick, retries, backoff)
+    live on :class:`~repro.serve.server.ServeResponse`, not here.
     """
 
     fused: bool
@@ -444,9 +443,6 @@ class PlanTelemetry:
     arena_bytes: int = 0
     wall_seconds: float = 0.0
     row_budget: int = 0
-    queue_depth: int = 0
-    retries: int = 0
-    backoff_ms: float = 0.0
 
     @property
     def words_total(self) -> int:
@@ -801,7 +797,7 @@ class ExecutionPlan:
         else:
             # The plan-only engine cannot serve per-operation CAM sweeps; a
             # non-packable layout falls back to the packed-word AP engine.
-            if not engine_info(engine).supports_processor:
+            if engine not in PROCESSOR_ENGINE_NAMES:
                 engine = "vectorized"
             out = self._run_ap(z, pad_mask, engine)
         return out * (2.0 ** -self.output_fraction_bits)
@@ -809,7 +805,7 @@ class ExecutionPlan:
     def fused(self, engine: Optional[str] = None) -> bool:
         """Whether ``engine`` runs this plan on the compiled fast path."""
         engine = canonical_engine_name(engine) if engine is not None else self.engine
-        return not engine_info(engine).supports_processor and self.packable
+        return engine not in PROCESSOR_ENGINE_NAMES and self.packable
 
     @property
     def compiled_engine(self) -> CompiledEngine:
@@ -842,24 +838,12 @@ class ExecutionPlan:
                 f"got {scores.shape[1]}"
             )
         pad_mask = None  # (batch, seq) boolean, True at padding positions
-        if valid_lengths is not None:
-            valid_lengths = np.asarray(valid_lengths, dtype=np.int64)
-            if valid_lengths.shape != (scores.shape[0],):
-                raise ValueError(
-                    f"valid_lengths must have shape ({scores.shape[0]},), "
-                    f"got {valid_lengths.shape}"
-                )
-            if np.any(valid_lengths < 1) or np.any(valid_lengths > scores.shape[1]):
-                raise ValueError(
-                    "valid_lengths must lie in 1..seq for every vector"
-                )
-            if np.any(valid_lengths < scores.shape[1]):
-                pad_mask = (
-                    np.arange(scores.shape[1])[None, :] >= valid_lengths[:, None]
-                )
-                # Padding scores must not influence the per-vector maximum
-                # used for stabilisation.
-                scores = np.where(pad_mask, -np.inf, scores)
+        lengths = check_valid_lengths(valid_lengths, *scores.shape)
+        if lengths is not None and np.any(lengths < scores.shape[1]):
+            pad_mask = np.arange(scores.shape[1])[None, :] >= lengths[:, None]
+            # Padding scores must not influence the per-vector maximum used
+            # for stabilisation.
+            scores = np.where(pad_mask, -np.inf, scores)
         quantized = self.quantizer.quantize(scores, stabilise=True)
         z = (-quantized.values).astype(np.int64)  # z = -vstable >= 0
         return z, pad_mask

@@ -273,7 +273,8 @@ class SoftmAPMapping:
             Fractional bits of the normalised output; defaults to the
             ``2M + 12`` result-column width.
         backend:
-            Functional AP engine (any engine-registry name); defaults to
+            Functional AP engine (any name in
+            :data:`~repro.ap.engine.ENGINE_NAMES`); defaults to
             the mapping's configured engine.
 
         Returns

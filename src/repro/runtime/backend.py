@@ -52,7 +52,11 @@ from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax as float_softmax
-from repro.utils.validation import check_in_choices, integer_lengths
+from repro.utils.validation import (
+    check_finite_scores,
+    check_in_choices,
+    check_valid_lengths,
+)
 
 from typing import Protocol, runtime_checkable
 
@@ -200,7 +204,8 @@ class BackendSpec:
         Attention-head count (required by ``ap-cluster``, which shards
         head-major score matrices across one AP per head).
     engine:
-        Functional AP engine — any name in the engine registry:
+        Functional AP engine — one of
+        :data:`~repro.ap.engine.ENGINE_NAMES`:
         ``"compiled"`` (buffer-planned scratch-arena executor, the fast
         path), ``"vectorized"`` (per-op packed-word AP, bit-identical) or
         ``"reference"`` (bit-serial ground truth, bit-identical); ``None``
@@ -306,7 +311,9 @@ class _BackendBase:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim == 0:
             raise ValueError("scores must have at least one dimension")
-        lengths = self._check_lengths(scores, valid_lengths)
+        rows = int(np.prod(scores.shape[:-1], dtype=np.int64))
+        lengths = check_valid_lengths(valid_lengths, rows, scores.shape[-1])
+        check_finite_scores(scores, lengths)
         result = self._run(scores, lengths)
         self.telemetry.record(result)
         return result
@@ -322,23 +329,6 @@ class _BackendBase:
         return self.run(rows, valid_lengths=valid_lengths)
 
     # -- helpers -------------------------------------------------------- #
-    @staticmethod
-    def _check_lengths(
-        scores: np.ndarray, valid_lengths: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        if valid_lengths is None:
-            return None
-        lengths = integer_lengths(valid_lengths).reshape(-1)
-        rows = int(np.prod(scores.shape[:-1], dtype=np.int64)) if scores.ndim > 1 else 1
-        if lengths.shape != (rows,):
-            raise ValueError(
-                f"valid_lengths must hold one entry per score row "
-                f"({rows}), got shape {lengths.shape}"
-            )
-        if np.any(lengths < 1) or np.any(lengths > scores.shape[-1]):
-            raise ValueError("valid_lengths must lie in 1..seq for every row")
-        return lengths
-
     @staticmethod
     def _rows_view(scores: np.ndarray) -> np.ndarray:
         """Flatten leading axes so every backend core sees (rows, seq)."""
@@ -605,7 +595,8 @@ class ApClusterBackend(_BackendBase):
             rows = rows[None, :]
         if rows.ndim != 2:
             raise ValueError("run_rows expects a (rows, seq) score matrix")
-        lengths = self._check_lengths(rows, valid_lengths)
+        lengths = check_valid_lengths(valid_lengths, *rows.shape)
+        check_finite_scores(rows, lengths)
         start = time.perf_counter()
         probabilities = self.cluster.execute_rows(
             rows, valid_lengths=lengths, backend=self.engine

@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.validation import integer_lengths
+from repro.utils.validation import check_finite_scores, check_valid_lengths
 
 __all__ = [
     "CoalescedBatch",
@@ -49,8 +49,9 @@ def as_request_matrix(
     """Normalise one request into a ``(rows, seq)`` float64 matrix.
 
     Accepts a 1-D vector (one row) or a 2-D matrix, validating the
-    optional per-row ``valid_lengths`` eagerly — a malformed request must
-    fail at submission, not poison a whole coalesced batch later.
+    optional per-row ``valid_lengths`` and the scores of every valid
+    prefix eagerly — a malformed request must fail at submission, not
+    poison a whole coalesced batch later.
     """
     matrix = np.asarray(scores, dtype=np.float64)
     if matrix.ndim == 1:
@@ -62,17 +63,8 @@ def as_request_matrix(
         )
     if matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise ValueError(f"empty request of shape {matrix.shape}")
-    lengths: Optional[np.ndarray] = None
-    if valid_lengths is not None:
-        lengths = integer_lengths(valid_lengths).reshape(-1)
-        if lengths.shape != (matrix.shape[0],):
-            raise ValueError(
-                f"valid_lengths must hold one entry per request row "
-                f"({matrix.shape[0]}), got shape "
-                f"{np.asarray(valid_lengths).shape}"
-            )
-        if np.any(lengths < 1) or np.any(lengths > matrix.shape[1]):
-            raise ValueError("valid_lengths must lie in 1..seq for every row")
+    lengths = check_valid_lengths(valid_lengths, *matrix.shape)
+    check_finite_scores(matrix, lengths)
     return matrix, lengths
 
 

@@ -33,8 +33,7 @@ the fast path:
 * **retries** — a :class:`~repro.reliability.retry.RetryPolicy` retries
   *transient* per-request failures (e.g. injected engine faults) with
   capped exponential backoff + seeded jitter on the worker thread;
-  ``retries`` / ``backoff_ms`` surface on the response and its
-  :class:`~repro.mapping.plan.PlanTelemetry`.
+  ``retries`` / ``backoff_ms`` surface on the response.
 * **engine fallback** — an ``engine_chain`` (compiled -> vectorized ->
   reference) puts a circuit breaker per engine: repeated failures trip
   the breaker and degrade the chain one level, half-open probes recover
@@ -45,8 +44,9 @@ the fast path:
 Per-request telemetry rides on the uniform
 :class:`~repro.runtime.backend.SoftmaxResult` shape: each response carries
 its slice of the probabilities, its energy share of the batch pass, the
-pass latency, and the batch's :class:`~repro.mapping.plan.PlanTelemetry`
-annotated with the tick's ``queue_depth``.
+pass latency, and the batch's :class:`~repro.mapping.plan.PlanTelemetry`;
+the tick's composition (``batch_requests`` / ``batch_rows``) is on the
+response itself.
 """
 
 from __future__ import annotations
@@ -96,14 +96,15 @@ class ServeResponse:
 
     ``result`` is the per-request :class:`SoftmaxResult` view of the batch
     pass (sliced probabilities, pass latency, energy share, the batch's
-    plan telemetry with ``queue_depth`` set).  ``tick_result`` is the
-    whole coalesced pass, shared by every request of the tick (its
-    probabilities cover the whole tick); ``result`` is derived from it on
-    first access, because building a result per request on the worker
-    thread is a measurable share of a saturated tick and most clients
-    only read ``probabilities``.  ``queue_wait_s`` is the time the
-    request sat queued before its tick executed; ``batch_requests`` /
-    ``batch_rows`` the composition of the coalesced tick that served it.
+    plan telemetry).  ``tick_result`` is the whole coalesced pass, shared
+    by every request of the tick (its probabilities cover the whole tick);
+    ``result`` is derived from it on first access, because building a
+    result per request on the worker thread is a measurable share of a
+    saturated tick and most clients only read ``probabilities``.
+    ``queue_wait_s`` is the time the request sat queued before its tick
+    executed; ``batch_requests`` / ``batch_rows`` the composition of the
+    coalesced tick that served it (``batch_requests`` is the tick's queue
+    depth).
 
     The reliability fields: ``engine`` names the fallback-chain engine
     that produced the response (``None`` without a chain), ``retries`` /
@@ -674,10 +675,6 @@ class SoftmaxServer:
             ]
         self._record_outcome(engine, probe, None)
         parts = split(fused, result.probabilities)
-        if result.plan is not None:
-            result = replace(
-                result, plan=replace(result.plan, queue_depth=len(batch))
-            )
         now = time.monotonic()
         return [
             ServeResponse(
@@ -735,16 +732,6 @@ class SoftmaxServer:
                 continue
             self._record_outcome(engine, probe, None)
             break
-        plan = (
-            None
-            if result.plan is None
-            else replace(
-                result.plan,
-                queue_depth=1,
-                retries=retries,
-                backoff_ms=backoff_total,
-            )
-        )
         probabilities = (
             result.probabilities[0] if pending.squeeze else result.probabilities
         )
@@ -754,7 +741,7 @@ class SoftmaxServer:
             batch_requests=1,
             batch_rows=pending.rows,
             tick=tick,
-            tick_result=replace(result, plan=plan),
+            tick_result=result,
             engine=engine,
             retries=retries,
             backoff_ms=backoff_total,

@@ -37,7 +37,11 @@ from repro.quant.precision import PrecisionConfig, BEST_PRECISION
 from repro.quant.quantizer import ClippedSoftmaxInputQuantizer, QuantizedTensor
 from repro.softmax.polynomial import IExpConstants, IExpPolynomial
 from repro.utils.bitwidth import saturate_signed, unsigned_max, wrap_unsigned
-from repro.utils.validation import check_in_choices, check_positive_int
+from repro.utils.validation import (
+    check_in_choices,
+    check_positive_int,
+    check_valid_lengths,
+)
 
 __all__ = ["IntegerSoftmax", "IntegerSoftmaxResult", "integer_softmax"]
 
@@ -201,23 +205,11 @@ class IntegerSoftmax:
         moved = np.moveaxis(x, axis, -1)
         mask: Optional[np.ndarray] = None
         if valid_lengths is not None:
-            lengths = np.asarray(valid_lengths, dtype=np.int64)
-            expected = moved.shape[:-1] if moved.ndim > 1 else (1,)
-            if int(np.prod(lengths.shape, dtype=np.int64)) != int(
-                np.prod(expected, dtype=np.int64)
-            ):
-                raise ValueError(
-                    f"valid_lengths must hold one entry per softmax vector "
-                    f"({expected}), got shape {lengths.shape}"
-                )
-            lengths = lengths.reshape(expected)
-            if np.any(lengths < 1) or np.any(lengths > moved.shape[-1]):
-                raise ValueError(
-                    "valid_lengths must lie in 1..seq for every vector"
-                )
+            vectors = moved.shape[:-1]
+            lengths = check_valid_lengths(
+                valid_lengths, int(np.prod(vectors)), moved.shape[-1]
+            ).reshape(vectors)
             mask = np.arange(moved.shape[-1]) < lengths[..., None]
-            if moved.ndim == 1:
-                mask = mask[0]
             moved = np.where(mask, moved, -np.inf)
         quantized = self.quantizer.quantize(moved, stabilise=True)
         result = self._forward_int(quantized.values, mask=mask)

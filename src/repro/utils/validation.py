@@ -7,7 +7,7 @@ reported where it happens rather than deep inside a simulation loop.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, TypeVar
+from typing import Any, Iterable, Optional, TypeVar
 
 import numpy as np
 
@@ -19,7 +19,9 @@ __all__ = [
     "check_in_choices",
     "check_probability",
     "check_positive",
-    "integer_lengths",
+    "check_finite_scores",
+    "check_valid_lengths",
+    "InvalidScoresError",
 ]
 
 
@@ -67,18 +69,64 @@ def check_probability(value: float, name: str) -> float:
     return float(value)
 
 
-def integer_lengths(valid_lengths: Any) -> np.ndarray:
-    """Return ``valid_lengths`` as an int64 array, rejecting other dtypes.
+class InvalidScoresError(ValueError):
+    """A NaN or an infinity inside a row's valid prefix of a score matrix."""
 
-    A cast would truncate ``[2.7, 3.2]`` to ``[2, 3]`` and return a
-    plausible answer for lengths the caller never asked for, so a
-    non-integer dtype raises ``ValueError``.  An empty sequence (whose
-    default numpy dtype is float64) is accepted.  Shape and range checks
-    stay with the caller, which knows its row count and width.
+
+def check_valid_lengths(
+    valid_lengths: Any, rows: int, seq: int
+) -> Optional[np.ndarray]:
+    """Validate per-row prefix lengths; return them as a flat int64 array.
+
+    The one contract of every ``valid_lengths`` argument in the library:
+    ``None`` passes through, otherwise the array holds exactly ``rows``
+    integer entries (read in row order, whatever its shape) and each lies
+    in ``1..seq``.  A cast would truncate ``[2.7, 3.2]`` to ``[2, 3]`` and
+    return a plausible answer for lengths the caller never asked for, so a
+    non-integer dtype raises ``ValueError``; an empty sequence (whose
+    default numpy dtype is float64) is accepted.
     """
+    if valid_lengths is None:
+        return None
     lengths = np.asarray(valid_lengths)
     if lengths.size and not np.issubdtype(lengths.dtype, np.integer):
         raise ValueError(
             f"valid_lengths must be integers, got dtype {lengths.dtype}"
         )
-    return lengths.astype(np.int64, copy=False)
+    if lengths.size != rows:
+        raise ValueError(
+            f"valid_lengths must hold one entry per row ({rows}), "
+            f"got shape {lengths.shape}"
+        )
+    lengths = lengths.astype(np.int64, copy=False).reshape(rows)
+    if rows and (lengths.min() < 1 or lengths.max() > seq):
+        raise ValueError(
+            f"valid_lengths must lie in 1..seq (seq={seq}) for every row, "
+            f"got [{lengths.min()}, {lengths.max()}]"
+        )
+    return lengths
+
+
+def check_finite_scores(
+    scores: np.ndarray, lengths: Optional[np.ndarray]
+) -> None:
+    """Raise :class:`InvalidScoresError` for a non-finite score inside a
+    row's valid prefix.
+
+    ``scores`` is ``(..., seq)`` and ``lengths`` the flat per-row prefix
+    lengths from :func:`check_valid_lengths` (``None``: every row is valid
+    in full).  Padding beyond a row's prefix is never read, so it may hold
+    anything.
+    """
+    finite = np.isfinite(scores)
+    if finite.all():
+        return
+    finite = finite.reshape(-1, scores.shape[-1])
+    if lengths is not None:
+        finite |= np.arange(scores.shape[-1]) >= lengths[:, None]
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        raise InvalidScoresError(
+            f"scores must be finite inside each row's valid prefix; "
+            f"row {bad[0]} holds a NaN or an infinity"
+        )

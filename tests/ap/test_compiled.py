@@ -1,8 +1,8 @@
-"""Tests for the compiled engine tier: registry, buffer liveness, executor.
+"""Tests for the compiled engine tier: engine names, buffer liveness, executor.
 
 Three layers under test, matching the refactor's split:
 
-* the engine **registry** (``repro.ap.engine``) — registration rules,
+* the engine **names** (``repro.ap.engine``) — the fixed name tuples,
   did-you-mean validation, processor-scoped name sets;
 * the **buffer-liveness pass** (``repro.mapping.plan.plan_buffers``) —
   scalar folding, dead-write elimination, slot assignment invariants;
@@ -19,17 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ap import engine as engine_registry
 from repro.ap.compiled import CompiledEngine
 from repro.ap.engine import (
     ENGINE_NAMES,
+    PROCESSOR_ENGINE_NAMES,
     UnknownEngineError,
     canonical_engine_name,
-    engine_info,
-    engine_names,
-    processor_engine_names,
-    register_engine,
 )
+from repro.ap.processor import AssociativeProcessor
 from repro.ap.processor2d import AssociativeProcessor2D
 from repro.mapping.plan import ExecutionPlan, PlanField, PlanOp, plan_buffers
 from repro.mapping.softmap import SoftmAPMapping
@@ -38,41 +35,17 @@ from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 
 class TestEngineRegistry:
     def test_builtin_engines_are_registered_in_order(self):
-        assert engine_names() == ("reference", "vectorized", "compiled")
         assert ENGINE_NAMES == ("reference", "vectorized", "compiled")
 
     def test_processor_engines_exclude_plan_only_entries(self):
-        assert processor_engine_names() == ("reference", "vectorized")
-        assert not engine_info("compiled").supports_processor
+        assert PROCESSOR_ENGINE_NAMES == ("reference", "vectorized")
+        assert AssociativeProcessor.BACKENDS == PROCESSOR_ENGINE_NAMES
 
     def test_plan_builds_the_compiled_engine(self):
         plan = ExecutionPlan(sequence_length=8)
         assert isinstance(plan.compiled_engine, CompiledEngine)
         assert plan.fused("compiled")
         assert not plan.fused("vectorized") and not plan.fused("reference")
-
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("compiled", "again")
-
-    def test_registration_validates_its_inputs(self):
-        with pytest.raises(TypeError):
-            register_engine(123, "not a name")
-        with pytest.raises(TypeError):
-            register_engine("", "empty name")
-
-    def test_engine_names_is_a_live_view(self):
-        """A registered engine must flow through every seam without any
-        per-call-site string list being updated — ENGINE_NAMES included."""
-        name = "test-live-view-engine"
-        register_engine(name, "registry liveness probe")
-        try:
-            assert name in engine_registry.ENGINE_NAMES
-            assert canonical_engine_name(name) == name
-        finally:
-            # Tests must not leak registry state into the suite.
-            engine_registry._ENGINES.pop(name)
-        assert name not in engine_registry.ENGINE_NAMES
 
     def test_canonical_name_scopes_to_processor_engines(self):
         assert canonical_engine_name("compiled") == "compiled"

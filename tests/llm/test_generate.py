@@ -335,9 +335,9 @@ class TestValidation:
     def test_valid_lengths_strict(self, trained):
         model, _ = trained
         prompts = np.zeros((2, 4), dtype=np.int64)
-        with pytest.raises(ValueError, match="one entry per segment"):
+        with pytest.raises(ValueError, match="must be 1-D"):
             model.generate(prompts, 2, valid_lengths=np.array([[4], [4]]))
-        with pytest.raises(ValueError, match="1..T"):
+        with pytest.raises(ValueError, match="1..seq"):
             model.generate(prompts, 2, valid_lengths=np.array([0, 4]))
 
 

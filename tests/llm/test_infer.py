@@ -138,11 +138,11 @@ class TestInferForwardParity:
             model.infer(np.zeros((2, 2, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="max context"):
             model.infer(np.zeros(model.config.max_context + 1, dtype=np.int64))
-        with pytest.raises(ValueError, match="one entry per segment"):
+        with pytest.raises(ValueError, match="one entry per row"):
             model.infer(np.zeros((2, 4), dtype=np.int64), valid_lengths=[4])
-        with pytest.raises(ValueError, match="1..T"):
+        with pytest.raises(ValueError, match="1..seq"):
             model.infer(np.zeros((2, 4), dtype=np.int64), valid_lengths=[4, 5])
-        with pytest.raises(ValueError, match="1..T"):
+        with pytest.raises(ValueError, match="1..seq"):
             model.infer(np.zeros((2, 4), dtype=np.int64), valid_lengths=[0, 4])
 
     def test_valid_lengths_shape_checked_strictly(self, trained):

@@ -20,6 +20,7 @@ from repro.runtime.backend import (
 )
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
+from repro.utils.validation import InvalidScoresError
 
 
 @pytest.fixture
@@ -110,6 +111,40 @@ class TestResolution:
         # Integer-valued lengths in any integer dtype still work.
         for dtype in (np.int32, np.int64, np.uint8):
             backend.run(scores, valid_lengths=np.ceil(lengths).astype(dtype))
+
+
+class TestInputDomain:
+    """One policy on every backend: a NaN or an infinity inside a row's
+    valid prefix is an ``InvalidScoresError``, never a plausible answer
+    (uniform or one-hot rows) or a NaN row."""
+
+    NON_FINITE = {
+        "nan": lambda row: np.where(np.arange(row.size) == 3, np.nan, row),
+        "+inf": lambda row: np.where(np.arange(row.size) == 3, np.inf, row),
+        "all -inf": lambda row: np.full_like(row, -np.inf),
+    }
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_non_finite_scores_are_rejected(self, name, case, scores):
+        backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        bad = scores.copy()
+        bad[1] = self.NON_FINITE[case](bad[1])
+        for run in (backend.run, backend.run_rows):
+            with pytest.raises(InvalidScoresError, match="row 1"):
+                run(bad)
+        assert backend.telemetry.calls == 0
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_non_finite_padding_is_never_read(self, name, scores, lengths):
+        backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        padded = np.where(
+            np.arange(16)[None, :] < lengths[:, None], scores, -np.inf
+        )
+        expected = backend.run(scores, valid_lengths=lengths).probabilities
+        for run in (backend.run, backend.run_rows):
+            out = run(padded, valid_lengths=lengths).probabilities
+            assert np.array_equal(out, expected)
 
 
 class TestProbabilityParity:

@@ -32,7 +32,7 @@ class TestAsRequestMatrix:
             as_request_matrix(np.zeros((0, 4)))
 
     def test_rejects_wrong_length_count(self):
-        with pytest.raises(ValueError, match="one entry per request row"):
+        with pytest.raises(ValueError, match="one entry per row"):
             as_request_matrix(np.zeros((2, 4)), valid_lengths=[3])
 
     def test_rejects_out_of_range_lengths(self):

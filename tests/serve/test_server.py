@@ -14,6 +14,7 @@ import pytest
 
 from repro.runtime.backend import BackendSpec, resolve_backend
 from repro.serve.server import ServerClosed, SoftmaxServer
+from repro.utils.validation import InvalidScoresError
 
 
 def _requests():
@@ -113,7 +114,6 @@ class TestCoalescing:
         for response in responses:
             plan = response.result.plan
             assert plan is not None
-            assert plan.queue_depth == response.batch_requests
             assert plan.row_budget == 64
             assert 0.0 < plan.occupancy <= 1.0
         # Energy shares of a tick sum to the full batch pass energy.
@@ -121,6 +121,10 @@ class TestCoalescing:
         for response in responses:
             by_tick.setdefault(response.tick, []).append(response)
         for tick_responses in by_tick.values():
+            # The queue depth of a tick: how many requests it coalesced.
+            assert all(
+                r.batch_requests == len(tick_responses) for r in tick_responses
+            )
             shares = sum(r.result.cost.energy_j for r in tick_responses)
             assert shares > 0.0
             tick_energy = tick_responses[0].tick_result.cost.energy_j
@@ -220,6 +224,23 @@ class TestFaultIsolation:
 
         response = asyncio.run(scenario())
         assert response.probabilities.shape == (4,)
+
+    def test_non_finite_scores_fail_at_submission(self):
+        """A NaN/inf inside a valid prefix is rejected in-process exactly as
+        over TCP; padding beyond ``valid_lengths`` is never read."""
+        padded = np.array([[0.5, 1.0, -np.inf, np.nan]])
+
+        async def scenario():
+            async with SoftmaxServer("ap-batch", max_wait_ms=1.0) as server:
+                for bad in (np.nan, np.inf, -np.inf):
+                    with pytest.raises(InvalidScoresError):
+                        await server.submit(np.array([0.0, bad, 1.0]))
+                return await server.submit(padded, valid_lengths=[2])
+
+        response = asyncio.run(scenario())
+        np.testing.assert_array_equal(
+            response.probabilities, _standalone("ap-batch", padded, [2])
+        )
 
 
 class TestLifecycle:

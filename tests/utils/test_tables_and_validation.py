@@ -10,7 +10,7 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    integer_lengths,
+    check_valid_lengths,
 )
 
 
@@ -89,10 +89,20 @@ class TestValidation:
             check_probability(1.5, "x")
 
     def test_integer_lengths(self):
-        lengths = integer_lengths([3, 1])
+        """The one ``valid_lengths`` contract (check_valid_lengths)."""
+        assert check_valid_lengths(None, 2, 4) is None
+        lengths = check_valid_lengths([3, 1], 2, 4)
         assert lengths.dtype == np.int64 and lengths.tolist() == [3, 1]
-        assert integer_lengths(np.array([[2]], dtype=np.uint8)).shape == (1, 1)
-        assert integer_lengths([]).dtype == np.int64
-        for bad in ([2.7, 3.2], [2.0], [True]):
+        # Any shape holding `rows` entries is read in row order, flat.
+        column = check_valid_lengths(np.array([[2], [4]], np.uint8), 2, 4)
+        assert column.shape == (2,) and column.tolist() == [2, 4]
+        assert check_valid_lengths([], 0, 4).dtype == np.int64
+        for bad in ([2.7, 3.2], [2.0, 1.0], [True, True]):
             with pytest.raises(ValueError, match="must be integers"):
-                integer_lengths(bad)
+                check_valid_lengths(bad, 2, 4)
+        for bad in ([3], [1, 2, 3], []):
+            with pytest.raises(ValueError, match="one entry per row"):
+                check_valid_lengths(bad, 2, 4)
+        for bad in ([0, 4], [1, 5], [-1, 2]):
+            with pytest.raises(ValueError, match="1..seq"):
+                check_valid_lengths(bad, 2, 4)
