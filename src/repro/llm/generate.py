@@ -15,20 +15,24 @@ grouping: rows are grouped by prompt length and each group prefills at its
 natural width.  The groups stay fixed for the whole generation — every row
 appends exactly one token per step — so the decode loop re-uses them.
 
-**Incremental decode.**  Each step embeds one token per row and attends
-against the cached keys/values: per layer one ``(g, h, 1, hd)`` query
-against a ``(g, h, t, hd)`` cache, using the same cached
+**Incremental decode.**  Each step is one pass over all ``B`` rows:
+embeddings (at per-row positions), norms, projections, feed-forward and
+output head run once for the batch.  Only the length-dependent core loops
+over the prompt-length groups: each group writes its ``(g, h, 1, hd)``
+keys/values at its position, scores its queries against the
+``(g, h, t, hd)`` cache and applies ``p @ V``.  A uniform batch is one
+group.  The projections use the same cached
 :class:`~repro.llm.model.StackedAttentionWeights` stacks (invalidated via
 the ``Parameter`` version counters) as the prefill.  The
 :class:`KVCache` grows geometrically, so a long generation performs
 ``O(log T)`` reallocations, not one per token.
 
 **Replacement softmax across a length sweep.**  With a replacement softmax
-backend each decode step dispatches one head-major ``(h * g, t)`` row
-space — every row a full-width query over the ``t``-entry cache — through
-:func:`~repro.llm.model.causal_batched_softmax` with explicit
-``valid_lengths``.  The sequence length ``t`` advances by one per step,
-which is exactly the 1..T shape sweep the bounded
+backend each group's step makes one ``run`` call per layer on a
+head-major ``(h * g, t)`` row space.  Every row is a full-width query over
+the ``t``-entry cache, so it goes in with ``valid_lengths=None``: nothing
+to validate and nothing to re-mask.  The sequence length ``t`` advances by
+one per step, which is exactly the 1..T shape sweep the bounded
 :meth:`~repro.mapping.softmap.SoftmAPMapping.plan` LRU cache exists for.
 
 **The baseline, and parity.**  ``use_cache=False`` re-prefills the whole
@@ -36,8 +40,10 @@ growing sequence every step through :func:`~repro.llm.infer.infer` and
 reads the last valid position's logits — the naive quadratic baseline.
 Both paths draw from the same seeded RNG stream (one draw vector per
 step), and the generated tokens are pinned identical across the two paths
-for every sweep backend by ``tests/llm/test_generate.py``; the decode
-benchmark pins the cached path's tokens/sec against this baseline.
+for every sweep backend by ``tests/llm/test_generate.py``, which also pins
+every step's logits of a ragged batch to those of each prompt decoded
+alone.  The decode benchmark pins the cached path's tokens/sec against
+this baseline.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.llm.infer import _feed_forward, _forward_batch, infer
-from repro.llm.model import causal_batched_softmax
 from repro.nn.functional import rms_norm_forward, softmax_forward
 from repro.utils.validation import check_positive_int, check_valid_lengths
 
@@ -292,11 +297,11 @@ def _generate_cached(
 
     for step in range(1, max_new_tokens):
         cache.ensure_capacity(int(cache.lengths.max()) + 1)
-        for length, rows in groups:
-            position = length + step - 1  # 0-indexed position of the fed token
-            logits_last[rows] = _decode_step(
-                model, cache, rows, generated[rows, step - 1], position, backend
-            )
+        # 0-indexed position of each group's fed token.
+        positions = [(length + step - 1, rows) for length, rows in groups]
+        logits_last = _decode_step(
+            model, cache, positions, generated[:, step - 1], backend
+        )
         cache.lengths += 1
         generated[:, step] = _sample_next_tokens(logits_last, temperature, top_k, rng)
     return generated
@@ -305,21 +310,23 @@ def _generate_cached(
 def _decode_step(
     model: "TinyLlamaModel",
     cache: KVCache,
-    rows: Rows,
+    groups: List[Tuple[int, Rows]],
     tokens: np.ndarray,
-    position: int,
     backend: Optional["SoftmaxBackend"],
 ) -> np.ndarray:
-    """One incremental decoder pass: feed one token per selected row at
-    ``position`` and return the next-token logits, shape ``(g, vocab)``."""
+    """One incremental decoder pass over the whole batch: feed one token
+    per row at its position ``cache.lengths[row]`` and return the
+    next-token logits, shape ``(B, vocab)``.  ``groups`` pairs each
+    prompt-length group's rows with their shared position; only the
+    length-dependent attention core runs per group."""
     scale_factor = 1.0 / np.sqrt(model.config.head_dim)
     x = (
         model.token_embedding.data[tokens]
-        + model.position_embedding.data[position]
-    )[:, None, :]  # (g, 1, d)
+        + model.position_embedding.data[cache.lengths]
+    )[:, None, :]  # (B, 1, d)
     for index, layer in enumerate(model.layers):
         x = x + _decode_attention(
-            model, cache, index, rows, x, position, scale_factor, backend
+            model, cache, index, groups, x, scale_factor, backend
         )
         x = x + _feed_forward(x, layer)
     x = rms_norm_forward(x, model.final_norm.data)
@@ -330,36 +337,37 @@ def _decode_attention(
     model: "TinyLlamaModel",
     cache: KVCache,
     layer_index: int,
-    rows: Rows,
+    groups: List[Tuple[int, Rows]],
     x: np.ndarray,
-    position: int,
     scale_factor: float,
     backend: Optional["SoftmaxBackend"],
 ) -> np.ndarray:
-    """Single-query attention against the cache: ``(g, h, 1, hd)`` queries
-    over ``(g, h, t, hd)`` cached keys/values, ``t = position + 1``."""
+    """Single-query attention against the cache: ``(B, h, 1, hd)`` queries;
+    each group's rows score ``(g, h, t, hd)`` cached keys/values,
+    ``t = position + 1``."""
     layer = model.layers[layer_index]
     stacks = model.stacked_attention_weights(layer_index)
     normed = rms_norm_forward(x, layer["attn_norm"].data)
-    hidden = normed[:, None]  # (g, 1, 1, d) broadcast against (h, d, hd)
-    q = np.matmul(hidden, stacks.wq)  # (g, h, 1, hd)
+    hidden = normed[:, None]  # (B, 1, 1, d) broadcast against (h, d, hd)
+    q = np.matmul(hidden, stacks.wq)  # (B, h, 1, hd)
     k = np.matmul(hidden, stacks.wk)
     v = np.matmul(hidden, stacks.wv)
-    # The new position's keys/values enter the cache before scoring: the
-    # query attends to itself, exactly like the prefill's causal diagonal.
-    cache.write(layer_index, rows, position, k, v)
-    t = position + 1
-    keys = cache.keys(layer_index, rows, t)
-    values = cache.values(layer_index, rows, t)
-    scores = np.matmul(q, keys.transpose(0, 1, 3, 2)) * scale_factor  # (g, h, 1, t)
+    context = np.empty_like(q)
+    for position, rows in groups:
+        # The new position's keys/values enter the cache before scoring:
+        # the query attends to itself, exactly like the prefill's causal
+        # diagonal.
+        cache.write(layer_index, rows, position, k[rows], v[rows])
+        t = position + 1
+        keys = cache.keys(layer_index, rows, t)
+        scores = np.matmul(q[rows], keys.transpose(0, 1, 3, 2)) * scale_factor
+        if backend is None:
+            probabilities = softmax_forward(scores)
+        else:
+            probabilities = _decode_batched_softmax(scores, backend)
+        context[rows] = np.matmul(probabilities, cache.values(layer_index, rows, t))
 
-    if backend is None:
-        probabilities = softmax_forward(scores)
-    else:
-        probabilities = _decode_batched_softmax(scores, backend)
-
-    context = np.matmul(probabilities, values)  # (g, h, 1, hd)
-    projected = np.matmul(context, stacks.wo)  # (g, h, 1, d)
+    projected = np.matmul(context, stacks.wo)  # (B, h, 1, d)
     output = projected[:, 0]
     for head in range(1, model.config.num_heads):
         output = output + projected[:, head]
@@ -369,19 +377,17 @@ def _decode_attention(
 def _decode_batched_softmax(
     scores: np.ndarray, backend: "SoftmaxBackend"
 ) -> np.ndarray:
-    """One head-major softmax call per decode step.
+    """One head-major softmax call per group and layer.
 
-    The ``(g, h, 1, t)`` step scores flatten to ``(h * g, t)`` — head-major
-    per :func:`~repro.llm.model.causal_batched_softmax`, the layout
-    authority — with every row a full-width query over the ``t``-entry
-    cache, i.e. explicit ``valid_lengths`` of ``t`` instead of the tiled
-    causal prefix lengths of a prefill block.
+    The ``(g, h, 1, t)`` step scores flatten to ``(h * g, t)``, head-major
+    as :func:`~repro.llm.model.causal_batched_softmax` lays rows out.
+    Every row is a full-width query over the ``t``-entry cache, so the
+    backend gets ``valid_lengths=None``: there is no prefix to validate
+    and no padding to re-mask.
     """
     g, h, t = scores.shape[0], scores.shape[1], scores.shape[3]
     stacked = scores[:, :, 0].transpose(1, 0, 2).reshape(h * g, t)
-    probabilities = causal_batched_softmax(
-        stacked, backend, valid_lengths=np.full(h * g, t, dtype=np.int64)
-    )
+    probabilities = backend.run(stacked).probabilities
     return probabilities.reshape(h, g, t).transpose(1, 0, 2)[:, :, None]
 
 

@@ -80,6 +80,7 @@ from repro.reliability import faults
 from repro.softmax.polynomial import IExpPolynomial
 from repro.utils.bitwidth import bits_for_unsigned
 from repro.utils.validation import (
+    check_finite_scores,
     check_non_negative_int,
     check_positive_int,
     check_valid_lengths,
@@ -827,8 +828,9 @@ class ExecutionPlan:
     def _prepare(
         self, scores: np.ndarray, valid_lengths: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Validate, causally mask and quantize one score tensor into the
-        ``(vectors, segment_length)`` program input ``z``."""
+        """Validate (a non-finite valid prefix is an
+        :class:`~repro.utils.validation.InvalidScoresError`), causally mask
+        and quantize one score tensor into the program input ``z``."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError("the plan executes a (batch, seq) score tensor")
@@ -839,6 +841,7 @@ class ExecutionPlan:
             )
         pad_mask = None  # (batch, seq) boolean, True at padding positions
         lengths = check_valid_lengths(valid_lengths, *scores.shape)
+        check_finite_scores(scores, lengths)
         if lengths is not None and np.any(lengths < scores.shape[1]):
             pad_mask = np.arange(scores.shape[1])[None, :] >= lengths[:, None]
             # Padding scores must not influence the per-vector maximum used

@@ -516,11 +516,14 @@ class ApBatchBackend(_ApBackendBase):
 class ApClusterBackend(_BackendBase):
     """``ap-cluster`` — the functional multi-AP cluster (one AP per head).
 
-    ``run`` accepts a ``(batch, heads, seq)`` tensor, a head-major
-    ``(heads * batch, seq)`` matrix (the LLM substrate's layout: row
-    ``h * batch + b`` holds batch row ``b`` of head ``h``) or a 1-D vector
-    (executed on head 0).  Cost follows the cluster's concurrency
-    accounting: latency = max over the concurrent heads, energy = sum.
+    ``run`` accepts a head-major ``(heads * batch, seq)`` matrix (the LLM
+    substrate's layout: row ``h * batch + b`` holds batch row ``b`` of
+    head ``h``), a ``(batch, heads, seq)`` tensor or a 1-D vector
+    (executed on head 0).  Each is laid out as head-major rows in one step
+    and executed by :meth:`~repro.mapping.cluster.ApCluster.execute_rows`,
+    the seam ``run_rows`` uses too; the head-major matrix goes in as is.
+    Cost follows the cluster's concurrency accounting: latency = max over
+    the concurrent heads, energy = sum.
     """
 
     def __init__(self, spec: BackendSpec) -> None:
@@ -632,42 +635,9 @@ class ApClusterBackend(_BackendBase):
 
     def _run(self, scores, lengths):
         heads = self.cluster.num_heads
+        batch = 1
         if scores.ndim == 1:
-            if (
-                scores.size > self.cluster.sequence_length
-                and self.cluster.pass_row_budget is None
-            ):
-                raise ValueError(
-                    f"sequence length {scores.size} exceeds the provisioned "
-                    f"maximum {self.cluster.sequence_length}"
-                )
-            # Planner first: an over-budget vector must be rejected before
-            # any execution, exactly like the fused 2-D/3-D paths.
-            self.cluster.plan_telemetry(1, scores.size, self.engine)
-            start = time.perf_counter()
-            probabilities = self.cluster.head_mapping(0).execute_functional_batch(
-                scores[None, :], backend=self.engine, valid_lengths=lengths
-            )[0]
-            # Re-read after execution so the arena stats reflect the
-            # executor this pass actually ran on.
-            telemetry = self.cluster.plan_telemetry(
-                1, scores.size, self.engine,
-                wall_seconds=time.perf_counter() - start,
-            )
-            # Only head 0's AP executes a 1-D vector: charge one per-head
-            # pass, not the whole cluster's energy/area.
-            per_head = self._cluster_cost(scores.size).per_head
-            return SoftmaxResult(
-                probabilities=probabilities,
-                cost=BackendCost(
-                    latency_s=per_head.latency_s,
-                    energy_j=per_head.energy_j,
-                    area_mm2=per_head.area_mm2,
-                ),
-                cycles=per_head.cycles,
-                backend=self.spec.name,
-                plan=telemetry,
-            )
+            rows = scores[None, :]
         elif scores.ndim == 2:
             if scores.shape[0] % heads != 0:
                 raise ValueError(
@@ -675,43 +645,32 @@ class ApClusterBackend(_BackendBase):
                     f"cluster head count ({heads}); stack the score "
                     f"matrices head-major"
                 )
-            batch = scores.shape[0] // heads
-            # Explicit seq (not -1): an empty (0, seq) batch must reshape.
-            stacked = scores.reshape(heads, batch, scores.shape[1])
-            stacked = stacked.transpose(1, 0, 2)
-            per_head_lengths = (
-                None if lengths is None else lengths.reshape(heads, batch).T
-            )
-            start = time.perf_counter()
-            probabilities = self.cluster.execute(
-                stacked, valid_lengths=per_head_lengths, backend=self.engine
-            )
-            wall = time.perf_counter() - start
-            probabilities = probabilities.transpose(1, 0, 2).reshape(scores.shape)
+            rows, batch = scores, scores.shape[0] // heads
         elif scores.ndim == 3:
+            if scores.shape[1] != heads:
+                raise ValueError(
+                    f"score tensor has {scores.shape[1]} heads, cluster has "
+                    f"{heads}"
+                )
+            # The one layout step: (batch, heads, seq) to head-major rows.
             batch = scores.shape[0]
-            per_head_lengths = (
-                None
-                if lengths is None
-                else lengths.reshape(batch, scores.shape[1])
-            )
-            start = time.perf_counter()
-            probabilities = self.cluster.execute(
-                scores, valid_lengths=per_head_lengths, backend=self.engine
-            )
-            wall = time.perf_counter() - start
+            rows = scores.transpose(1, 0, 2).reshape(heads * batch, scores.shape[2])
+            if lengths is not None:
+                lengths = lengths.reshape(batch, heads).T.reshape(-1)
         else:
             raise ValueError(
                 "ap-cluster accepts a 1-D vector, a head-major (rows, seq) "
                 "matrix or a (batch, heads, seq) tensor"
             )
-        sequence_length = scores.shape[-1]
+        start = time.perf_counter()
+        probabilities = self.cluster.execute_rows(
+            rows, valid_lengths=lengths, backend=self.engine
+        )
+        wall = time.perf_counter() - start
+        sequence_length = rows.shape[1]
         cluster_cost = self._cluster_cost(sequence_length)
         telemetry = self.cluster.plan_telemetry(
-            heads * batch,
-            sequence_length,
-            self.engine,
-            wall_seconds=wall,
+            rows.shape[0], sequence_length, self.engine, wall_seconds=wall
         )
         if telemetry.passes > 1:
             # A tiled workload flows through the two-stage load/compute
@@ -721,17 +680,24 @@ class ApClusterBackend(_BackendBase):
             ).latency_s
             cycles = cluster_cost.cycles * telemetry.passes
         else:
-            latency = cluster_cost.latency_s
-            cycles = cluster_cost.cycles
+            latency, cycles = cluster_cost.latency_s, cluster_cost.cycles
+        if scores.ndim == 1:
+            # Only head 0's AP executes a 1-D vector: charge one per-head
+            # pass, not the whole cluster's energy/area.
+            per_head = cluster_cost.per_head
+            energy, area = per_head.energy_j, per_head.area_mm2
+            probabilities = probabilities[0]
+        else:
+            # Stacking `batch` vectors per head scales the active rows
+            # (energy) but not the cycle count — see ApCluster.cost.
+            energy, area = cluster_cost.energy_j * batch, cluster_cost.area_mm2
+        if scores.ndim == 3:
+            probabilities = probabilities.reshape(
+                heads, batch, sequence_length
+            ).transpose(1, 0, 2)
         return SoftmaxResult(
             probabilities=probabilities,
-            cost=BackendCost(
-                latency_s=latency,
-                # Stacking `batch` vectors per head scales the active rows
-                # (energy) but not the cycle count — see ApCluster.cost.
-                energy_j=cluster_cost.energy_j * batch,
-                area_mm2=cluster_cost.area_mm2,
-            ),
+            cost=BackendCost(latency_s=latency, energy_j=energy, area_mm2=area),
             cycles=cycles,
             backend=self.spec.name,
             plan=telemetry,

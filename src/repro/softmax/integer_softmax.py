@@ -38,6 +38,7 @@ from repro.quant.quantizer import ClippedSoftmaxInputQuantizer, QuantizedTensor
 from repro.softmax.polynomial import IExpConstants, IExpPolynomial
 from repro.utils.bitwidth import saturate_signed, unsigned_max, wrap_unsigned
 from repro.utils.validation import (
+    check_finite_scores,
     check_in_choices,
     check_positive_int,
     check_valid_lengths,
@@ -197,19 +198,21 @@ class IntegerSoftmax:
         accumulator, and the fixed-point division never sees them.  One
         masked call therefore replaces a per-distinct-length loop — for a
         causal ``(rows, seq)`` score matrix that is ``seq`` pipeline
-        invocations collapsed into one.
+        invocations collapsed into one.  A NaN or an infinity inside a valid
+        prefix raises :class:`~repro.utils.validation.InvalidScoresError`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0:
             raise ValueError("softmax input must have at least one dimension")
         moved = np.moveaxis(x, axis, -1)
+        vectors = moved.shape[:-1]
+        lengths = check_valid_lengths(
+            valid_lengths, int(np.prod(vectors)), moved.shape[-1]
+        )
+        check_finite_scores(moved, lengths)
         mask: Optional[np.ndarray] = None
-        if valid_lengths is not None:
-            vectors = moved.shape[:-1]
-            lengths = check_valid_lengths(
-                valid_lengths, int(np.prod(vectors)), moved.shape[-1]
-            ).reshape(vectors)
-            mask = np.arange(moved.shape[-1]) < lengths[..., None]
+        if lengths is not None:
+            mask = np.arange(moved.shape[-1]) < lengths.reshape(vectors)[..., None]
             moved = np.where(mask, moved, -np.inf)
         quantized = self.quantizer.quantize(moved, stabilise=True)
         result = self._forward_int(quantized.values, mask=mask)

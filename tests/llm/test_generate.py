@@ -5,7 +5,11 @@ The contract under test: ``model.generate`` with ``use_cache=True``
 ``use_cache=False`` (naive re-prefill of the growing sequence every step)
 — for greedy and seeded temperature/top-k sampling, ragged prompt
 batches, every sweep-legal backend, every functional AP engine and the
-seed's per-prefix-length integer baseline.  Plus unit coverage of the
+seed's per-prefix-length integer baseline.  Stronger still, every decode
+step's next-token logits of a ragged batch equal, bit for bit, those of
+decoding each prompt alone, and a ragged ``ap-cluster`` decode makes
+exactly one softmax call per layer and prompt-length group with the
+cluster's cost.  Plus unit coverage of the
 :class:`~repro.llm.generate.KVCache` growth and the argument validation.
 """
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ap.compiled import CompiledEngine
+from repro.ap.engine import ENGINE_NAMES
 from repro.llm.config import LlamaConfig
 from repro.llm.dataset import make_corpus
 from repro.llm.generate import KVCache, _sample_next_tokens
@@ -212,6 +217,133 @@ class TestBackendParity:
             prompts, 5, backend=BackendSpec("integer", precision=PRECISION)
         )
         assert np.array_equal(via_backend, via_fn)
+
+
+def _decode_logits(monkeypatch, model, prompts, new_tokens, replay=None,
+                   **kwargs):
+    """Generate, returning the tokens and every step's ``(B, vocab)``
+    next-token logits.  ``replay`` forces the sampled tokens (one column
+    per step) instead of drawing them."""
+    steps = []
+
+    def recording(logits, temperature, top_k, rng):
+        steps.append(np.array(logits))
+        if replay is not None:
+            return replay[:, len(steps) - 1]
+        return _sample_next_tokens(logits, temperature, top_k, rng)
+
+    monkeypatch.setattr("repro.llm.generate._sample_next_tokens", recording)
+    tokens = model.generate(prompts, new_tokens, **kwargs)
+    return tokens, steps
+
+
+#: A ragged batch of three distinct prompt lengths, one of them shared.
+RAGGED_LENGTHS = np.array([9, 4, 6, 4])
+
+
+class TestLogitParity:
+    """A row's logits depend only on its own prompt: the row-batched step
+    must not drift by one ulp from decoding that prompt alone (B=1)."""
+
+    @pytest.mark.parametrize(
+        "name,engine",
+        [(None, None), ("integer", None)]
+        + [("ap-cluster", engine) for engine in ENGINE_NAMES],
+    )
+    def test_ragged_step_logits_match_single_prompt_decodes(
+        self, trained, monkeypatch, name, engine
+    ):
+        model, corpus = trained
+        prompts = _prompts(model, corpus, 4, 9)
+        backend = None if name is None else _resolved_backend(model, name, engine)
+        tokens, logits = _decode_logits(
+            monkeypatch, model, prompts, 4, valid_lengths=RAGGED_LENGTHS,
+            backend=backend,
+        )
+        for row, length in enumerate(RAGGED_LENGTHS):
+            alone, alone_logits = _decode_logits(
+                monkeypatch, model, prompts[row : row + 1, :length], 4,
+                backend=backend,
+            )
+            assert np.array_equal(alone[0], tokens[row])
+            assert len(alone_logits) == len(logits) == 4
+            for batched, single in zip(logits, alone_logits):
+                assert np.array_equal(batched[row], single[0])
+
+    @pytest.mark.parametrize("name", [None, "ap-cluster"])
+    def test_seeded_sampling_reproduces_per_row_logits(
+        self, trained, monkeypatch, name
+    ):
+        model, corpus = trained
+        prompts = _prompts(model, corpus, 4, 9)
+        backend = None if name is None else _resolved_backend(model, name)
+        sampling = dict(valid_lengths=RAGGED_LENGTHS, backend=backend,
+                        temperature=0.8, top_k=5, seed=7)
+        tokens, logits = _decode_logits(monkeypatch, model, prompts, 5, **sampling)
+        again, again_logits = _decode_logits(
+            monkeypatch, model, prompts, 5, **sampling
+        )
+        assert np.array_equal(tokens, again)
+        assert all(np.array_equal(a, b) for a, b in zip(logits, again_logits))
+        # Fed the tokens the batch sampled, each prompt alone sees the
+        # same logits at every step.
+        for row, length in enumerate(RAGGED_LENGTHS):
+            _, alone_logits = _decode_logits(
+                monkeypatch, model, prompts[row : row + 1, :length], 5,
+                replay=tokens[row : row + 1], backend=backend,
+            )
+            for batched, single in zip(logits, alone_logits):
+                assert np.array_equal(batched[row], single[0])
+
+
+class TestCostAccounting:
+    def test_ragged_decode_calls_once_per_layer_and_group(self, trained):
+        """Prefill and every decode step make one ``ap-cluster`` call per
+        layer and prompt-length group, decode rows go in full-width
+        (``valid_lengths=None``), and the telemetry is exactly the sum of
+        the cluster's per-call cost."""
+        model, corpus = trained
+        prompts = _prompts(model, corpus, 4, 9)
+        backend = _resolved_backend(model, "ap-cluster")
+        calls = []
+        run = backend.run
+
+        def recording_run(scores, valid_lengths=None):
+            calls.append((scores.shape, valid_lengths is None))
+            return run(scores, valid_lengths=valid_lengths)
+
+        backend.run = recording_run
+        new_tokens = 5
+        model.generate(prompts, new_tokens, valid_lengths=RAGGED_LENGTHS,
+                       backend=backend)
+
+        heads, layers = model.config.num_heads, model.config.num_layers
+        groups = {4: 2, 6: 1, 9: 1}  # prompt length -> rows
+        expected = [
+            ((heads * rows * length, length), False)
+            for length, rows in groups.items()
+            for _ in range(layers)
+        ]
+        for step in range(1, new_tokens):
+            for _ in range(layers):
+                expected += [
+                    ((heads * rows, length + step), True)
+                    for length, rows in groups.items()
+                ]
+        assert calls == expected
+
+        latency = energy = cycles = 0.0
+        for (rows, seq), _ in calls:
+            cost = backend.cluster.cost(sequence_length=seq, batch=1)
+            latency += cost.latency_s
+            energy += cost.energy_j * (rows // heads)
+            cycles += cost.cycles
+        telemetry = backend.telemetry
+        assert telemetry.calls == len(expected)
+        assert telemetry.rows == sum(rows for (rows, _), _ in calls)
+        assert (telemetry.cycles, telemetry.latency_s, telemetry.energy_j) == (
+            cycles, latency, energy
+        )
 
 
 class TestSampling:

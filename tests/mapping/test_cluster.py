@@ -142,6 +142,52 @@ class TestSoftmaxFnAdapter:
             backend.run(np.zeros((2, 4, 8)))
 
 
+    def test_run_layouts_and_run_rows_agree(self):
+        """``run`` on head-major rows, ``run`` on the ``(batch, heads,
+        seq)`` tensor and ``run_rows`` on the same rows: one answer."""
+        rng = np.random.default_rng(10)
+        heads, batch, seq = 3, 4, 9
+        scores = rng.normal(0, 2, (batch, heads, seq))
+        lengths = rng.integers(1, seq + 1, (batch, heads))
+        stacked = scores.transpose(1, 0, 2).reshape(heads * batch, seq)
+        stacked_lengths = lengths.T.reshape(-1)
+        backend = ApCluster(num_heads=heads, sequence_length=seq).as_backend()
+        rows = backend.run(stacked, valid_lengths=stacked_lengths).probabilities
+        tensor = backend.run(scores, valid_lengths=lengths).probabilities
+        served = backend.run_rows(stacked, valid_lengths=stacked_lengths)
+        assert np.array_equal(
+            tensor, rows.reshape(heads, batch, seq).transpose(1, 0, 2)
+        )
+        assert np.array_equal(served.probabilities, rows)
+
+    @pytest.mark.parametrize("budget", [None, 16])
+    def test_run_cost_follows_the_cluster_cost(self, budget):
+        """``run`` charges the cluster cost of one pass: latency of the
+        pass (or the pipelined makespan of a tiled workload), energy x the
+        vectors per head, the cluster's area and cycles x passes."""
+        rng = np.random.default_rng(11)
+        heads, batch, seq = 2, 3, 8
+        cluster = ApCluster(num_heads=heads, sequence_length=seq,
+                            pass_row_budget=budget)
+        result = cluster.as_backend().run(rng.normal(0, 2, (batch, heads, seq)))
+        passes = result.plan.passes
+        assert passes == (1 if budget is None else 3)
+        cost = cluster.cost(sequence_length=seq, batch=1)
+        latency = (
+            cluster.schedule(passes, sequence_length=seq).latency_s
+            if passes > 1 else cost.latency_s
+        )
+        assert result.cost.latency_s == latency
+        assert result.cost.energy_j == cost.energy_j * batch
+        assert result.cost.area_mm2 == cost.area_mm2
+        assert result.cycles == cost.cycles * passes
+        # A 1-D vector runs on head 0 alone: one per-head pass.
+        single = cluster.as_backend().run(rng.normal(0, 2, seq))
+        assert (single.cost.energy_j, single.cost.area_mm2, single.cycles) == (
+            cost.per_head.energy_j, cost.per_head.area_mm2, cost.per_head.cycles
+        )
+
+
 class TestCostAndSchedule:
     def test_concurrency_accounting(self):
         cluster = ApCluster(num_heads=8, sequence_length=256)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.ap.engine import ENGINE_NAMES
 from repro.gpu.softmax_model import GpuSoftmaxModel
 from repro.gpu.spec import A100, RTX3090
 from repro.llm.perplexity import evaluate_perplexity
 from repro.mapping.cluster import ApCluster
+from repro.mapping.plan import ExecutionPlan
 from repro.mapping.softmap import SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.runtime.backend import (
@@ -145,6 +147,35 @@ class TestInputDomain:
         for run in (backend.run, backend.run_rows):
             out = run(padded, valid_lengths=lengths).probabilities
             assert np.array_equal(out, expected)
+
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_rejected_below_the_backend_seam(
+        self, engine, bad
+    ):
+        """``ExecutionPlan.execute`` (every engine) and
+        ``IntegerSoftmax.forward`` hold the backends' policy.  Before, the
+        compiled engine returned a uniform row for a NaN, the per-op
+        engines raised an untyped word-range ``ValueError`` and the
+        integer pipeline a Barrett one."""
+        plan = ExecutionPlan(sequence_length=4, engine=engine)
+        scores = np.array([[0.3, -1.0, 0.5, 2.0], [1.0, bad, 0.5, 2.0]])
+        with pytest.raises(InvalidScoresError, match="row 1"):
+            plan.execute(scores)
+        with pytest.raises(InvalidScoresError, match="row 1"):
+            IntegerSoftmax().forward(scores)
+        # Non-finite padding beyond valid_lengths is never read.
+        lengths = np.array([4, 1])
+        finite = np.where(np.isfinite(scores), scores, 0.0)
+        assert np.array_equal(
+            plan.execute(scores, valid_lengths=lengths),
+            plan.execute(finite, valid_lengths=lengths),
+        )
+        assert np.array_equal(
+            IntegerSoftmax().forward(scores, valid_lengths=lengths).probabilities,
+            IntegerSoftmax().forward(finite, valid_lengths=lengths).probabilities,
+        )
 
 
 class TestProbabilityParity:
