@@ -131,10 +131,13 @@ def evaluate_perplexity(
         "gpu-analytical"), a :class:`~repro.runtime.backend.BackendSpec`,
         or a resolved backend instance; ``None`` keeps the floating-point
         softmax.  Pass a resolved instance to read its accumulated
-        cost telemetry afterwards.  The AP-family backends execute through
-        the compiled-plan layer — every layer's attention softmax is one
-        fused wide pass, and each ``SoftmaxResult`` carries its
-        :class:`~repro.mapping.plan.PlanTelemetry`.
+        cost telemetry afterwards.  The AP-family backends (``ap``,
+        ``ap-batch`` — a one-head cluster — and ``ap-cluster``) are one
+        cluster backend executing through the compiled-plan layer — every
+        layer's attention softmax is one fused wide pass, and each
+        ``SoftmaxResult`` carries its
+        :class:`~repro.mapping.plan.PlanTelemetry`; ``ap`` differs only in
+        charging one serial pass per score vector.
     inference_path:
         ``"batched"`` (default) evaluates all segments through the
         graph-free :meth:`~repro.llm.model.TinyLlamaModel.infer` fast path

@@ -377,9 +377,16 @@ class ApCluster:
         :data:`~repro.ap.engine.ENGINE_NAMES`).
         """
         # Imported lazily: repro.runtime.backend imports this module.
-        from repro.runtime.backend import ApClusterBackend
+        from repro.runtime.backend import ApClusterBackend, BackendSpec
 
-        return ApClusterBackend.from_cluster(self, engine=engine)
+        spec = BackendSpec(
+            name="ap-cluster",
+            precision=self.precision,
+            sequence_length=self.sequence_length,
+            num_heads=self.num_heads,
+            engine=engine or self.backend,
+        )
+        return ApClusterBackend(spec, cluster=self)
 
     # ------------------------------------------------------------------ #
     # Concurrency-aware analytical cost                                    #

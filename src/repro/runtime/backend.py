@@ -12,12 +12,11 @@ name               execution path
                    baseline; no hardware cost attached)
 ``integer``        the pure-software integer-only pipeline of Algorithm 1
                    (:class:`~repro.softmax.integer_softmax.IntegerSoftmax`)
-``ap``             row-by-row functional AP execution — one
-                   :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional`
-                   call per score vector (the pre-cluster replacement path)
-``ap-batch``       one batched
-                   :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`
-                   call for a whole ``(rows, seq)`` tensor on one AP
+``ap``             the one-head cluster's fused pass, charged as if each
+                   score vector ran alone, one after another, on one AP
+                   (the pre-cluster replacement path's cost)
+``ap-batch``       a one-head cluster: a whole ``(rows, seq)`` tensor
+                   stacked in one AP and executed in one fused pass
 ``ap-cluster``     the functional multi-AP cluster — one per-head AP, every
                    probability produced by CAM compare/write semantics
 ``gpu-analytical`` floating-point probabilities costed with the analytical
@@ -46,9 +45,8 @@ import numpy as np
 from repro.ap.engine import DEFAULT_ENGINE, canonical_engine_name
 from repro.gpu.softmax_model import GpuSoftmaxModel, KernelCost
 from repro.gpu.spec import GPUS, GpuSpec
-from repro.mapping.cluster import ApCluster
+from repro.mapping.cluster import ApCluster, ClusterCost
 from repro.mapping.plan import PlanTelemetry
-from repro.mapping.softmap import MappingCost, SoftmAPMapping
 from repro.quant.precision import BEST_PRECISION, PrecisionConfig
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax as float_softmax
@@ -89,8 +87,8 @@ BACKEND_NAMES: Tuple[str, ...] = (
 _DESCRIPTIONS: Dict[str, str] = {
     "float": "floating-point reference softmax (accuracy baseline, no cost model)",
     "integer": "pure-software integer-only pipeline (Algorithm 1 in numpy)",
-    "ap": "row-by-row functional AP execution (one pass per score vector)",
-    "ap-batch": "batched functional AP execution (whole tensor on one AP)",
+    "ap": "one-head cluster, costed serially (one pass per score vector)",
+    "ap-batch": "one-head cluster (whole tensor in one fused pass on one AP)",
     "ap-cluster": "functional multi-AP cluster (one per-head AP, CAM semantics)",
     "gpu-analytical": "float softmax costed with the analytical GPU kernel model",
 }
@@ -202,7 +200,8 @@ class BackendSpec:
         (``None`` -> 2048, the paper's context).
     num_heads:
         Attention-head count (required by ``ap-cluster``, which shards
-        head-major score matrices across one AP per head).
+        head-major score matrices across one AP per head; ``ap`` and
+        ``ap-batch`` run on one AP and ignore it).
     engine:
         Functional AP engine — one of
         :data:`~repro.ap.engine.ENGINE_NAMES`:
@@ -271,7 +270,7 @@ class SoftmaxBackend(Protocol):
     Backends *may* additionally provide ``run_rows(rows, valid_lengths)``
     — execution of an arbitrary ``(rows, seq)`` row space with no
     head-major layout constraint, the seam the serving layer's coalesced
-    admission batches go through (``ap-cluster`` overrides it to feed the
+    admission batches go through (the AP backends override it to feed the
     row space straight through the cluster's planner).  It is not part of
     the required protocol: third-party backends that only implement
     ``run`` still resolve, and the serving layer falls back to ``run``.
@@ -313,7 +312,6 @@ class _BackendBase:
             raise ValueError("scores must have at least one dimension")
         rows = int(np.prod(scores.shape[:-1], dtype=np.int64))
         lengths = check_valid_lengths(valid_lengths, rows, scores.shape[-1])
-        check_finite_scores(scores, lengths)
         result = self._run(scores, lengths)
         self.telemetry.record(result)
         return result
@@ -321,12 +319,7 @@ class _BackendBase:
     def run_rows(
         self, rows: np.ndarray, valid_lengths: Optional[np.ndarray] = None
     ) -> SoftmaxResult:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2:
-            raise ValueError("run_rows expects a (rows, seq) score matrix")
-        return self.run(rows, valid_lengths=valid_lengths)
+        return self.run(_row_matrix(rows), valid_lengths=valid_lengths)
 
     # -- helpers -------------------------------------------------------- #
     @staticmethod
@@ -342,10 +335,22 @@ class _BackendBase:
         raise NotImplementedError
 
 
+def _row_matrix(rows: np.ndarray) -> np.ndarray:
+    """A ``run_rows`` argument as a float ``(rows, seq)`` matrix."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2:
+        raise ValueError("run_rows expects a (rows, seq) score matrix")
+    return rows
+
+
 def _masked_float_softmax(
     rows: np.ndarray, lengths: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Reference softmax over each row's valid prefix, zeros beyond it."""
+    """Reference softmax over each row's valid prefix, zeros beyond it
+    (a non-finite score inside a prefix is an ``InvalidScoresError``)."""
+    check_finite_scores(rows, lengths)
     if lengths is None:
         return float_softmax(rows)
     mask = np.arange(rows.shape[1])[None, :] < lengths[:, None]
@@ -393,180 +398,57 @@ class IntegerBackend(_BackendBase):
         )
 
 
-class _ApBackendBase(_BackendBase):
-    """Shared mapping construction + per-length analytical cost cache."""
-
-    def __init__(self, spec: BackendSpec) -> None:
-        super().__init__(spec)
-        self.precision = spec.precision or BEST_PRECISION
-        self.engine = spec.engine or DEFAULT_ENGINE
-        self.provisioned_length = spec.sequence_length or 2048
-        self._mapping_options = dict(spec.options)
-        self._mapping = self._make_mapping(self.provisioned_length)
-        self._cost_cache: Dict[int, MappingCost] = {}
-
-    def _make_mapping(self, sequence_length: int) -> SoftmAPMapping:
-        return SoftmAPMapping(
-            precision=self.precision,
-            sequence_length=sequence_length,
-            backend=self.engine,
-            **self._mapping_options,
-        )
-
-    def _pass_cost(self, sequence_length: int) -> MappingCost:
-        if sequence_length not in self._cost_cache:
-            mapping = (
-                self._mapping
-                if sequence_length == self.provisioned_length
-                else self._make_mapping(sequence_length)
-            )
-            self._cost_cache[sequence_length] = mapping.cost()
-        return self._cost_cache[sequence_length]
-
-    def _check_provisioned(self, sequence_length: int) -> None:
-        if sequence_length > self.provisioned_length:
-            raise ValueError(
-                f"sequence length {sequence_length} exceeds the provisioned "
-                f"maximum {self.provisioned_length}"
-            )
-
-
-class ApRowBackend(_ApBackendBase):
-    """``ap`` — one functional AP pass per score vector.
-
-    This is the pre-cluster replacement path: each row's causally-valid
-    prefix is executed in its own
-    :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional` call.
-    Latency/energy/cycles are the *sum* of the per-row passes (the rows run
-    sequentially on one AP).
-    """
-
-    def _run(self, scores, lengths):
-        rows = self._rows_view(scores)
-        self._check_provisioned(rows.shape[1])
-        probabilities = np.zeros_like(rows)
-        latency = energy = cycles = 0.0
-        for i in range(rows.shape[0]):
-            length = int(lengths[i]) if lengths is not None else rows.shape[1]
-            probabilities[i, :length] = self._mapping.execute_functional(
-                rows[i, :length]
-            )
-            cost = self._pass_cost(length)
-            latency += cost.latency_s
-            energy += cost.energy_j
-            cycles += cost.cycles
-        return SoftmaxResult(
-            probabilities=probabilities.reshape(scores.shape),
-            cost=BackendCost(
-                latency_s=latency,
-                energy_j=energy,
-                area_mm2=self._pass_cost(rows.shape[1]).area_mm2,
-            ),
-            cycles=cycles,
-            backend=self.spec.name,
-        )
-
-
-class ApBatchBackend(_ApBackendBase):
-    """``ap-batch`` — the whole ``(rows, seq)`` tensor stacked in one AP.
-
-    One compiled-plan execution
-    (:meth:`~repro.mapping.plan.ExecutionPlan.execute`, reached through
-    :meth:`~repro.mapping.softmap.SoftmAPMapping.execute_functional_batch`)
-    runs every vector word-parallel in a single fused pass: the cycle
-    count is that of a single pass while energy scales with the number of
-    stacked vectors (more active rows) — the same accounting the cluster
-    uses.  The result carries the plan telemetry of the pass.
-    """
-
-    def _run(self, scores, lengths):
-        rows = self._rows_view(scores)
-        self._check_provisioned(rows.shape[1])
-        start = time.perf_counter()
-        probabilities = self._mapping.execute_functional_batch(
-            rows, valid_lengths=lengths
-        )
-        wall = time.perf_counter() - start
-        cost = self._pass_cost(rows.shape[1])
-        plan = self._mapping.plan(sequence_length=rows.shape[1])
-        fused = plan.fused(self.engine)
-        return SoftmaxResult(
-            probabilities=probabilities.reshape(scores.shape),
-            cost=BackendCost(
-                latency_s=cost.latency_s,
-                energy_j=cost.energy_j * rows.shape[0],
-                area_mm2=cost.area_mm2,
-            ),
-            cycles=cost.cycles,
-            backend=self.spec.name,
-            plan=PlanTelemetry(
-                fused=fused,
-                engine=self.engine,
-                passes=1,
-                vectors=rows.shape[0],
-                segment_length=rows.shape[1],
-                words_per_pass=(rows.shape[0] * rows.shape[1],),
-                arena_slots=plan.buffers.num_slots if fused else 0,
-                arena_bytes=plan.arena_bytes(self.engine),
-                wall_seconds=wall,
-            ),
-        )
-
-
 class ApClusterBackend(_BackendBase):
-    """``ap-cluster`` — the functional multi-AP cluster (one AP per head).
+    """``ap-cluster``, ``ap-batch`` and ``ap`` — the functional AP cluster.
+
+    ``ap-cluster`` builds one AP per attention head (``spec.num_heads``,
+    required); ``ap-batch`` and ``ap`` build a one-head cluster and ignore
+    ``spec.num_heads``.  ``cluster=`` wraps an already-built
+    :class:`~repro.mapping.cluster.ApCluster` instead of building one
+    (``ApCluster.as_backend()`` and the serving layer's fallback engines
+    share a cluster this way).
 
     ``run`` accepts a head-major ``(heads * batch, seq)`` matrix (the LLM
     substrate's layout: row ``h * batch + b`` holds batch row ``b`` of
     head ``h``), a ``(batch, heads, seq)`` tensor or a 1-D vector
-    (executed on head 0).  Each is laid out as head-major rows in one step
-    and executed by :meth:`~repro.mapping.cluster.ApCluster.execute_rows`,
-    the seam ``run_rows`` uses too; the head-major matrix goes in as is.
-    Cost follows the cluster's concurrency accounting: latency = max over
-    the concurrent heads, energy = sum.
+    (executed on head 0); on a one-head cluster any leading axes are rows.
+    Each is laid out as head-major rows in one step and executed by
+    :meth:`~repro.mapping.cluster.ApCluster.execute_rows`, the seam
+    ``run_rows`` uses too; the head-major matrix goes in as is.  Cost
+    follows the cluster's concurrency accounting: latency = max over the
+    concurrent heads, energy = sum.  ``ap`` runs the same fused pass but
+    is charged as if its rows ran one after another on one AP: the
+    row-order sum of one pass per row at that row's valid length.
     """
 
-    def __init__(self, spec: BackendSpec) -> None:
-        if spec.num_heads is None:
-            raise ValueError(
-                "the 'ap-cluster' backend needs num_heads "
-                "(one per-head AP is built per attention head); pass "
-                "resolve_backend('ap-cluster', num_heads=...)"
-            )
+    def __init__(
+        self, spec: BackendSpec, cluster: Optional[ApCluster] = None
+    ) -> None:
         super().__init__(spec)
-        self.engine = spec.engine or DEFAULT_ENGINE
-        self.cluster = ApCluster(
-            num_heads=spec.num_heads,
-            precision=spec.precision or BEST_PRECISION,
-            sequence_length=spec.sequence_length or 2048,
-            backend=self.engine,
-            **dict(spec.options),
-        )
-        self._cost_cache: Dict[int, Any] = {}
+        if cluster is None:
+            if spec.name == "ap-cluster" and spec.num_heads is None:
+                raise ValueError(
+                    "the 'ap-cluster' backend needs num_heads "
+                    "(one per-head AP is built per attention head); pass "
+                    "resolve_backend('ap-cluster', num_heads=...)"
+                )
+            cluster = ApCluster(
+                num_heads=spec.num_heads if spec.name == "ap-cluster" else 1,
+                precision=spec.precision or BEST_PRECISION,
+                sequence_length=spec.sequence_length or 2048,
+                backend=spec.engine or DEFAULT_ENGINE,
+                **dict(spec.options),
+            )
+        self.cluster = cluster
+        self.engine = spec.engine or cluster.backend
+        self._cost_cache: Dict[int, ClusterCost] = {}
+        # The accounting is fixed by the backend name, so it is chosen once
+        # here.  A plain function, not a bound method: storing one on the
+        # instance would make a reference cycle that outlives the backend.
+        cls = type(self)
+        self._charge = cls._serial_charge if spec.name == "ap" else cls._pass_charge
 
-    @classmethod
-    def from_cluster(
-        cls, cluster: ApCluster, engine: Optional[str] = None
-    ) -> "ApClusterBackend":
-        """Wrap an already-built :class:`~repro.mapping.cluster.ApCluster`
-        (used by the cluster's own ``as_backend()``)."""
-        backend = cls.__new__(cls)
-        _BackendBase.__init__(
-            backend,
-            BackendSpec(
-                name="ap-cluster",
-                precision=cluster.precision,
-                sequence_length=cluster.sequence_length,
-                num_heads=cluster.num_heads,
-                engine=engine or cluster.backend,
-            ),
-        )
-        backend.engine = backend.spec.engine
-        backend.cluster = cluster
-        backend._cost_cache = {}
-        return backend
-
-    def _cluster_cost(self, sequence_length: int):
+    def _cluster_cost(self, sequence_length: int) -> ClusterCost:
         """Per-length :class:`~repro.mapping.cluster.ClusterCost` at batch 1,
         cached — the model calls run() once per layer with the same length,
         and a decode sweep evicts that length's plan view from the mapping's
@@ -593,115 +475,102 @@ class ApClusterBackend(_BackendBase):
         with the row count), latency is the two-stage pipeline makespan of
         the planner's pass list, and cycles accumulate per pass.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2:
-            raise ValueError("run_rows expects a (rows, seq) score matrix")
+        rows = _row_matrix(rows)
         lengths = check_valid_lengths(valid_lengths, *rows.shape)
-        check_finite_scores(rows, lengths)
-        start = time.perf_counter()
-        probabilities = self.cluster.execute_rows(
-            rows, valid_lengths=lengths, backend=self.engine
-        )
-        wall = time.perf_counter() - start
-        sequence_length = rows.shape[1]
-        telemetry = self.cluster.plan_telemetry(
-            rows.shape[0],
-            sequence_length,
-            self.engine,
-            wall_seconds=wall,
-        )
-        per_head = self._cluster_cost(sequence_length).per_head
-        if telemetry.passes > 1:
-            latency = self.cluster.schedule(
-                telemetry.passes, sequence_length=sequence_length
-            ).latency_s
-        else:
-            latency = per_head.latency_s
-        result = SoftmaxResult(
-            probabilities=probabilities,
-            cost=BackendCost(
-                latency_s=latency,
-                energy_j=per_head.energy_j * rows.shape[0],
-                area_mm2=per_head.area_mm2 * self.cluster.num_heads,
-            ),
-            cycles=per_head.cycles * telemetry.passes,
-            backend=self.spec.name,
-            plan=telemetry,
-        )
+        result = self._execute(rows, lengths, (len(rows),), self.cluster.num_heads)
         self.telemetry.record(result)
         return result
 
     def _run(self, scores, lengths):
         heads = self.cluster.num_heads
-        batch = 1
-        if scores.ndim == 1:
-            rows = scores[None, :]
-        elif scores.ndim == 2:
+        if heads == 1 or scores.ndim == 1:
+            # One AP at work (a 1-D vector runs on head 0 alone): any
+            # leading axes are rows, charged as one AP's pass.
+            rows = scores.reshape(-1, scores.shape[-1])
+            result = self._execute(rows, lengths, (1, len(rows)), 1)
+            if scores.ndim == 2:
+                return result
+            return replace(
+                result, probabilities=result.probabilities.reshape(scores.shape)
+            )
+        if scores.ndim == 2:
             if scores.shape[0] % heads != 0:
                 raise ValueError(
                     f"rows ({scores.shape[0]}) must be a multiple of the "
                     f"cluster head count ({heads}); stack the score "
                     f"matrices head-major"
                 )
-            rows, batch = scores, scores.shape[0] // heads
-        elif scores.ndim == 3:
-            if scores.shape[1] != heads:
-                raise ValueError(
-                    f"score tensor has {scores.shape[1]} heads, cluster has "
-                    f"{heads}"
-                )
-            # The one layout step: (batch, heads, seq) to head-major rows.
-            batch = scores.shape[0]
-            rows = scores.transpose(1, 0, 2).reshape(heads * batch, scores.shape[2])
-            if lengths is not None:
-                lengths = lengths.reshape(batch, heads).T.reshape(-1)
-        else:
+            factors = (heads, scores.shape[0] // heads)
+            return self._execute(scores, lengths, factors, heads)
+        if scores.ndim != 3:
             raise ValueError(
                 "ap-cluster accepts a 1-D vector, a head-major (rows, seq) "
                 "matrix or a (batch, heads, seq) tensor"
             )
+        if scores.shape[1] != heads:
+            raise ValueError(
+                f"score tensor has {scores.shape[1]} heads, cluster has "
+                f"{heads}"
+            )
+        # The one layout step: (batch, heads, seq) to head-major rows.
+        batch, _, sequence_length = scores.shape
+        rows = scores.transpose(1, 0, 2).reshape(heads * batch, sequence_length)
+        if lengths is not None:
+            lengths = lengths.reshape(batch, heads).T.reshape(-1)
+        result = self._execute(rows, lengths, (heads, batch), heads)
+        probabilities = result.probabilities.reshape(heads, batch, sequence_length)
+        return replace(result, probabilities=probabilities.transpose(1, 0, 2))
+
+    def _execute(self, rows, lengths, energy_factors, heads) -> SoftmaxResult:
+        """Execute head-major ``rows`` and cost the call on ``heads`` APs'
+        silicon; ``energy_factors`` scale the per-head pass energy in order,
+        so each seam keeps its own rounding."""
         start = time.perf_counter()
         probabilities = self.cluster.execute_rows(
             rows, valid_lengths=lengths, backend=self.engine
         )
         wall = time.perf_counter() - start
-        sequence_length = rows.shape[1]
-        cluster_cost = self._cluster_cost(sequence_length)
-        telemetry = self.cluster.plan_telemetry(
-            rows.shape[0], sequence_length, self.engine, wall_seconds=wall
+        plan = self.cluster.plan_telemetry(
+            rows.shape[0], rows.shape[1], self.engine, wall_seconds=wall
         )
-        if telemetry.passes > 1:
-            # A tiled workload flows through the two-stage load/compute
-            # pipeline: the makespan of the pass list is the latency.
-            latency = self.cluster.schedule(
-                telemetry.passes, sequence_length=sequence_length
-            ).latency_s
-            cycles = cluster_cost.cycles * telemetry.passes
-        else:
-            latency, cycles = cluster_cost.latency_s, cluster_cost.cycles
-        if scores.ndim == 1:
-            # Only head 0's AP executes a 1-D vector: charge one per-head
-            # pass, not the whole cluster's energy/area.
-            per_head = cluster_cost.per_head
-            energy, area = per_head.energy_j, per_head.area_mm2
-            probabilities = probabilities[0]
-        else:
-            # Stacking `batch` vectors per head scales the active rows
-            # (energy) but not the cycle count — see ApCluster.cost.
-            energy, area = cluster_cost.energy_j * batch, cluster_cost.area_mm2
-        if scores.ndim == 3:
-            probabilities = probabilities.reshape(
-                heads, batch, sequence_length
-            ).transpose(1, 0, 2)
+        latency, energy, cycles = self._charge(self, plan, lengths, energy_factors)
+        area = self._cluster_cost(rows.shape[1]).per_head.area_mm2 * heads
         return SoftmaxResult(
             probabilities=probabilities,
             cost=BackendCost(latency_s=latency, energy_j=energy, area_mm2=area),
             cycles=cycles,
             backend=self.spec.name,
-            plan=telemetry,
+            plan=plan,
         )
+
+    def _pass_charge(self, plan, lengths, energy_factors) -> Tuple[float, ...]:
+        """Latency, energy and cycles of the planner's passes."""
+        if plan.passes == 0:
+            return 0.0, 0.0, 0.0
+        per_head = self._cluster_cost(plan.segment_length).per_head
+        latency = per_head.latency_s
+        if plan.passes > 1:
+            # A tiled workload flows through the two-stage load/compute
+            # pipeline: the makespan of the pass list is the latency.
+            latency = self.cluster.schedule(
+                plan.passes, sequence_length=plan.segment_length
+            ).latency_s
+        energy = per_head.energy_j
+        for factor in energy_factors:
+            energy *= factor
+        return latency, energy, per_head.cycles * plan.passes
+
+    def _serial_charge(self, plan, lengths, energy_factors) -> Tuple[float, ...]:
+        """``ap``: one pass per row at its valid length, summed in row order."""
+        if lengths is None:
+            lengths = np.full(plan.vectors, plan.segment_length)
+        latency = energy = cycles = 0.0
+        for length in lengths.tolist():
+            cost = self._cluster_cost(length).per_head
+            latency += cost.latency_s
+            energy += cost.energy_j
+            cycles += cost.cycles
+        return latency, energy, cycles
 
 
 class GpuAnalyticalBackend(_BackendBase):
@@ -757,8 +626,8 @@ class GpuAnalyticalBackend(_BackendBase):
 _FACTORIES: Dict[str, Callable[[BackendSpec], _BackendBase]] = {
     "float": FloatBackend,
     "integer": IntegerBackend,
-    "ap": ApRowBackend,
-    "ap-batch": ApBatchBackend,
+    "ap": ApClusterBackend,
+    "ap-batch": ApClusterBackend,
     "ap-cluster": ApClusterBackend,
     "gpu-analytical": GpuAnalyticalBackend,
 }

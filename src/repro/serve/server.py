@@ -378,8 +378,9 @@ class SoftmaxServer:
             if isinstance(self.backend, ApClusterBackend):
                 # Share the primary's cluster: plans and executors are
                 # cached per (plan, engine) pair, so siblings are cheap.
-                sibling = ApClusterBackend.from_cluster(
-                    self.backend.cluster, engine=engine
+                sibling = ApClusterBackend(
+                    replace(self.backend.spec, engine=engine),
+                    cluster=self.backend.cluster,
                 )
             else:
                 sibling = resolve_backend(replace(spec, engine=engine))

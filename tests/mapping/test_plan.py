@@ -411,11 +411,14 @@ class TestPlanTelemetry:
             backend.run(np.zeros(16))
         assert backend.telemetry.calls == 0  # nothing executed or recorded
 
-    def test_row_backend_has_no_plan(self, rng):
+    def test_ap_result_carries_plan_telemetry(self, rng):
+        """``ap`` runs the same fused pass as ``ap-batch`` (only its cost
+        is serial), so its result describes that pass."""
         result = resolve_backend("ap", sequence_length=8).run(
             rng.normal(0.0, 2.0, size=(2, 8))
         )
-        assert result.plan is None
+        assert result.plan is not None
+        assert result.plan.passes == 1 and result.plan.vectors == 2
 
     def test_compiled_telemetry_reports_arena_and_wall_clock(self, rng):
         backend = resolve_backend(

@@ -1,5 +1,10 @@
 """Tests for the unified softmax-backend API (repro.runtime.backend)."""
 
+import gc
+import importlib
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +27,7 @@ from repro.runtime.backend import (
 )
 from repro.softmax.integer_softmax import IntegerSoftmax
 from repro.softmax.reference import softmax
-from repro.utils.validation import InvalidScoresError
+from repro.utils.validation import InvalidScoresError, check_finite_scores
 
 
 @pytest.fixture
@@ -92,14 +97,41 @@ class TestResolution:
             resolve_backend("ap-cluster", sequence_length=16)
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_dropped_backend_is_freed_by_reference_counting(self, name):
+        """A backend must hold no reference cycle: a model rebuilt per
+        request would otherwise keep every old cluster and its arenas
+        alive until the cycle collector happens to run."""
+        gc.disable()
+        try:
+            backend = resolve_backend(name, num_heads=2, sequence_length=8)
+            backend.run(np.zeros((2, 8)))
+            ref = weakref.ref(backend)
+            del backend
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_empty_batch_returns_an_empty_result(self, name):
         backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        full = backend.run(np.zeros((2, 16))).cost
         for run in (backend.run, backend.run_rows):
             result = run(np.zeros((0, 16)))
             assert result.probabilities.shape == (0, 16)
             if name == "gpu-analytical":
                 # No rows, no kernel: nothing is costed.
                 assert result.cost == BackendCost(0.0, 0.0)
+            elif name.startswith("ap"):
+                # No planner pass: no time, energy or cycles, but the
+                # call still occupies the silicon.
+                assert result.plan.passes == 0
+                assert result.cost == BackendCost(0.0, 0.0, full.area_mm2)
+                assert result.cycles == 0.0
+                assert all(
+                    isinstance(value, float)
+                    for value in (result.cycles, result.cost.latency_s,
+                                  result.cost.energy_j)
+                )
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_fractional_valid_lengths_are_rejected(self, name, scores):
@@ -178,6 +210,52 @@ class TestInputDomain:
         )
 
 
+class TestFiniteCheckRunsOnce:
+    """Each backend call checks its scores for non-finite values exactly
+    once: at the backend seam for ``float``/``gpu-analytical``, below it
+    (``ExecutionPlan._prepare``, ``IntegerSoftmax.forward``) otherwise."""
+
+    MODULES = (
+        "repro.runtime.backend",
+        "repro.mapping.plan",
+        "repro.softmax.integer_softmax",
+    )
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_one_check_per_call(self, name, scores, lengths, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check_finite_scores(*args, **kwargs)
+
+        for module in self.MODULES:
+            monkeypatch.setattr(
+                importlib.import_module(module), "check_finite_scores", counted
+            )
+        backend = resolve_backend(name, num_heads=2, sequence_length=16)
+        for run in (backend.run, backend.run_rows):
+            for valid_lengths in (None, lengths):
+                calls.clear()
+                run(scores, valid_lengths=valid_lengths)
+                assert len(calls) == 1
+
+    def test_nan_in_the_last_tiled_pass_is_rejected(self, rng):
+        backend = resolve_backend(
+            "ap-cluster",
+            num_heads=2,
+            sequence_length=8,
+            options={"pass_row_budget": 16},
+        )
+        scores = rng.normal(0.0, 2.0, size=(6, 8))
+        scores[5, 4] = np.nan  # rows 4..5 form the third and last pass
+        for run in (backend.run, backend.run_rows):
+            with pytest.raises(InvalidScoresError):
+                run(scores)
+        assert backend.telemetry.calls == 0
+        assert backend.run(scores[:4]).plan.passes == 2
+
+
 class TestProbabilityParity:
     """Every backend family must agree bit for bit with its legacy path."""
 
@@ -223,6 +301,34 @@ class TestProbabilityParity:
             row.run(scores, valid_lengths=lengths).probabilities,
             batch.run(scores, valid_lengths=lengths).probabilities,
         )
+        # ``ap-batch`` is the cluster with one head: same bits, cost,
+        # cycles and plan (bar the measured wall clock).
+        cluster = resolve_backend("ap-cluster", num_heads=1, sequence_length=16)
+        for valid_lengths in (None, lengths):
+            for seam in ("run", "run_rows"):
+                one = getattr(batch, seam)(scores, valid_lengths=valid_lengths)
+                two = getattr(cluster, seam)(scores, valid_lengths=valid_lengths)
+                assert np.array_equal(one.probabilities, two.probabilities)
+                assert one.cost == two.cost and one.cycles == two.cycles
+                assert replace(one.plan, wall_seconds=0.0) == replace(
+                    two.plan, wall_seconds=0.0
+                )
+
+    @pytest.mark.parametrize("name", ["ap", "ap-batch"])
+    def test_one_ap_flattens_leading_axes(self, name, rng, lengths):
+        """On one AP every leading axis is a row: ``(2, 3, 8)`` is the
+        ``(6, 8)`` call, bits and cost."""
+        tensor = rng.normal(0.0, 2.0, size=(2, 3, 8))
+        backend = resolve_backend(name, num_heads=2, sequence_length=8)
+        flat_lengths = np.minimum(lengths, 8)
+        for valid_lengths in (None, flat_lengths):
+            nested = backend.run(tensor, valid_lengths=valid_lengths)
+            flat = backend.run(tensor.reshape(6, 8), valid_lengths=valid_lengths)
+            assert nested.probabilities.shape == (2, 3, 8)
+            assert np.array_equal(
+                nested.probabilities.reshape(6, 8), flat.probabilities
+            )
+            assert nested.cost == flat.cost and nested.cycles == flat.cycles
 
     def test_ap_cluster_matches_legacy_adapter(self, rng):
         """A resolved 'ap-cluster' backend equals the cluster's own
@@ -271,6 +377,30 @@ class TestCostTelemetry:
         six = backend.run(scores)
         assert six.cycles == one.cycles
         assert six.cost.energy_j == pytest.approx(6 * one.cost.energy_j)
+
+    def test_ap_cost_is_the_serial_sum_of_per_length_passes(
+        self, scores, lengths
+    ):
+        """``ap`` is charged as one pass per row at its valid length, run
+        one after another: the row-order sum of a fresh mapping's cost at
+        each length, exactly."""
+        backend = resolve_backend("ap", sequence_length=16)
+        for valid_lengths in (lengths, None):
+            per_row = [16] * 6 if valid_lengths is None else valid_lengths
+            latency = energy = cycles = 0.0
+            for length in per_row:
+                cost = SoftmAPMapping(sequence_length=int(length)).cost()
+                latency += cost.latency_s
+                energy += cost.energy_j
+                cycles += cost.cycles
+            for run in (backend.run, backend.run_rows):
+                result = run(scores, valid_lengths=valid_lengths)
+                assert result.cost.latency_s == latency
+                assert result.cost.energy_j == energy
+                assert result.cycles == cycles
+                assert result.cost.area_mm2 == (
+                    SoftmAPMapping(sequence_length=16).cost().area_mm2
+                )
 
     def test_cluster_cost_uses_concurrency_accounting(self, rng):
         heads, batch, seq = 4, 2, 16

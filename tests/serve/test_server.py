@@ -12,6 +12,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.reliability.faults import FaultInjector, FaultSpec
+from repro.reliability.retry import RetryPolicy
 from repro.runtime.backend import BackendSpec, resolve_backend
 from repro.serve.server import ServerClosed, SoftmaxServer
 from repro.utils.validation import InvalidScoresError
@@ -326,3 +328,36 @@ class TestTcpFrontEnd:
         assert replies[1]["batch_requests"] >= 1
         assert replies[1]["queue_wait_ms"] >= 0.0
         assert "error" in replies[2]  # no "scores" field
+
+
+class TestEngineChainSiblings:
+    def test_siblings_keep_the_backend_name_and_share_the_cluster(self):
+        """An ``ap-batch`` server's degraded tiers serve as ``ap-batch``
+        on the primary's cluster; no second cluster is built."""
+        spec = BackendSpec(name="ap-batch", num_heads=2, sequence_length=16)
+        chain = ("compiled", "vectorized", "reference")
+        scores = np.random.default_rng(5).standard_normal((2, 16)) * 3
+        injector = FaultInjector([FaultSpec(site="engine:compiled")])
+
+        async def scenario():
+            async with SoftmaxServer(
+                spec,
+                max_wait_ms=1.0,
+                retry_policy=RetryPolicy(max_retries=2, jitter_ms=0.0),
+                engine_chain=chain,
+                breaker_failure_threshold=1,
+            ) as server:
+                siblings = [server._runners[e].__self__ for e in chain[1:]]
+                return server.backend, siblings, await server.submit(scores)
+
+        with injector.install():
+            primary, siblings, response = asyncio.run(scenario())
+        for engine, sibling in zip(chain[1:], siblings):
+            assert sibling.spec.name == "ap-batch"
+            assert sibling.engine == engine
+            assert sibling.cluster is primary.cluster
+        assert response.engine == "vectorized"
+        assert response.result.backend == "ap-batch"
+        np.testing.assert_array_equal(
+            response.probabilities, _standalone(spec, scores, None)
+        )
